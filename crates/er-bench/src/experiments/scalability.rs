@@ -19,9 +19,11 @@
 //! duplicate-check hashing, normalization and the prune sort across a
 //! multi-hundred-MB edge set, while the streaming path disposes of a
 //! rejected candidate with one bounded-heap comparison. The semantic
-//! functions are *not* swept here — their build time is dominated by the
-//! serial encoder prepare phase, which both flows share, so pruning
-//! changes their memory (Table 9's concern), not their build time.
+//! functions are *not* swept here. Both flows share their prepare (one
+//! token-cached encode per side) and score every pair of them through
+//! the same dimension-blocked kernel — no candidate index pays off on
+//! embeddings (DESIGN.md §14) — so the flows differ only in per-edge
+//! buffering, which the token-cosine rows already measure.
 //!
 //! A third table portrays **index-driven candidate generation**
 //! (`build_graph_topk_mode` with [`CandidateMode::Indexed`]): the same

@@ -25,7 +25,6 @@
 
 use std::time::Instant;
 
-use crossbeam::thread;
 use er_core::{CsrGraph, GraphBuilder, RowDelta, Side};
 use er_datasets::{Dataset, DatasetId};
 use er_eval::report::Table;
@@ -138,11 +137,11 @@ fn load_test(seed: u64, smoke: bool, bench: &mut BenchData) -> String {
     // Reader threads hammer point queries; one writer interleaves
     // inserts (cloned resident attribute sets under fresh ids) and
     // deletes, each repairing the matching before the lock drops.
-    let result = thread::scope(|scope| {
+    let (query_lat, ins, del) = std::thread::scope(|scope| {
         let mut readers_out = Vec::new();
         for r in 0..readers {
             let svc = &svc;
-            readers_out.push(scope.spawn(move |_| {
+            readers_out.push(scope.spawn(move || {
                 let mut rng = Lcg(seed ^ (0x9e37 + r as u64));
                 let mut lat = Vec::with_capacity(n_queries);
                 for _ in 0..n_queries {
@@ -165,7 +164,7 @@ fn load_test(seed: u64, smoke: bool, bench: &mut BenchData) -> String {
                 lat
             }));
         }
-        let writer = scope.spawn(|_| {
+        let writer = scope.spawn(|| {
             let mut rng = Lcg(seed ^ 0xabcd);
             let mut ins = Vec::new();
             let mut del = Vec::new();
@@ -215,9 +214,7 @@ fn load_test(seed: u64, smoke: bool, bench: &mut BenchData) -> String {
             .collect();
         let (ins, del) = writer.join().expect("writer thread");
         (query_lat, ins, del)
-    })
-    .expect("load-test scope");
-    let (query_lat, ins, del) = result;
+    });
 
     // The traffic must leave the service equivalent to a full re-match.
     {

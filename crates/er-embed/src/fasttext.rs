@@ -19,6 +19,47 @@ const FASTTEXT_SEED: u64 = 0xfa57_7e87;
 /// The paper's fastText dimensionality.
 pub const FASTTEXT_DIM: usize = 300;
 
+/// Token vectors shared by a batch of texts (see
+/// `FastTextLike::encode_with`).
+///
+/// [`plan`](TokenCache::plan) counts each token's occurrences in the
+/// texts still to be encoded. A token's vector is computed at its first
+/// occurrence, kept while planned occurrences remain, and dropped after
+/// the last one, so the cache holds only vectors a later text will read.
+/// Encoding an unplanned text, or a text more often than planned, is
+/// still exact: the missing tokens are computed without being kept.
+#[derive(Debug, Default)]
+pub(crate) struct TokenCache {
+    entries: FxHashMap<String, TokenEntry>,
+}
+
+#[derive(Debug)]
+struct TokenEntry {
+    /// Planned occurrences not encoded yet; the entry is removed at 0.
+    remaining: u32,
+    vector: Option<DenseVector>,
+}
+
+impl TokenCache {
+    /// Count the tokens of one more text the cache will encode.
+    pub(crate) fn plan(&mut self, text: &str) {
+        for t in normalize_text(text).split_whitespace() {
+            match self.entries.get_mut(t) {
+                Some(entry) => entry.remaining += 1,
+                None => {
+                    self.entries.insert(
+                        t.to_string(),
+                        TokenEntry {
+                            remaining: 1,
+                            vector: None,
+                        },
+                    );
+                }
+            }
+        }
+    }
+}
+
 /// A fastText-like text encoder.
 #[derive(Debug, Clone)]
 pub struct FastTextLike {
@@ -80,21 +121,36 @@ impl FastTextLike {
     /// Embed a text: mean of token vectors, blended with the anisotropy
     /// direction and re-normalized. Empty text embeds to the zero vector.
     pub fn encode(&self, text: &str) -> DenseVector {
+        // Repeated tokens within a text are common in concatenated
+        // schema-agnostic profiles.
+        let mut cache = TokenCache::default();
+        cache.plan(text);
+        self.encode_with(text, &mut cache)
+    }
+
+    /// [`encode`](FastTextLike::encode) through a token-vector cache that
+    /// spans a batch of texts. [`token_vector`] is a pure function of the
+    /// token, so a cached vector is the one a fresh computation would
+    /// produce and the result is bit-identical to `encode`.
+    ///
+    /// [`token_vector`]: FastTextLike::token_vector
+    pub(crate) fn encode_with(&self, text: &str, cache: &mut TokenCache) -> DenseVector {
         let normalized = normalize_text(text);
         let toks: Vec<&str> = normalized.split_whitespace().collect();
         if toks.is_empty() {
             return DenseVector::zeros(self.dim);
         }
         let mut mean = DenseVector::zeros(self.dim);
-        // Cache repeated tokens within a text (common in concatenated
-        // schema-agnostic profiles).
-        let mut cache: FxHashMap<&str, DenseVector> = FxHashMap::default();
-        for t in &toks {
-            let v = cache
-                .entry(t)
-                .or_insert_with(|| self.token_vector(t))
-                .clone();
-            mean.add_assign(&v);
+        for &t in &toks {
+            let Some(entry) = cache.entries.get_mut(t) else {
+                mean.add_assign(&self.token_vector(t));
+                continue;
+            };
+            mean.add_assign(entry.vector.get_or_insert_with(|| self.token_vector(t)));
+            entry.remaining -= 1;
+            if entry.remaining == 0 {
+                cache.entries.remove(t);
+            }
         }
         mean.scale(1.0 / toks.len() as f32);
         mean.normalize();

@@ -41,7 +41,7 @@ pub use ballindex::{
 };
 pub use dense::DenseVector;
 pub use fasttext::FastTextLike;
-pub use measures::{EmbeddingModel, SemanticMeasure};
+pub use measures::{CachingEncoder, EmbeddingModel, SemanticMeasure};
 pub use wmd::{relaxed_wmd, word_movers_similarity, BagSummary};
 
 #[cfg(test)]

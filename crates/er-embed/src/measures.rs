@@ -4,7 +4,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::albert::AlbertLike;
 use crate::dense::DenseVector;
-use crate::fasttext::FastTextLike;
+use crate::fasttext::{FastTextLike, TokenCache};
 use crate::wmd::word_movers_similarity;
 
 /// Which pre-trained-model stand-in encodes the texts.
@@ -57,6 +57,23 @@ impl Encoder {
         }
     }
 
+    /// An encoder view that shares one token-vector cache across the
+    /// batch `texts` — the entry point for encoding whole collections.
+    /// Encode each of `texts` once, in any order; results equal
+    /// [`encode`](Encoder::encode) bit for bit, for unplanned texts too.
+    pub fn caching<S: AsRef<str>>(&self, texts: impl IntoIterator<Item = S>) -> CachingEncoder<'_> {
+        let mut tokens = TokenCache::default();
+        if let Encoder::FastText(_) = self {
+            for text in texts {
+                tokens.plan(text.as_ref());
+            }
+        }
+        CachingEncoder {
+            encoder: self,
+            tokens,
+        }
+    }
+
     /// Per-token vectors for transport-based measures.
     pub fn token_vectors(&self, text: &str) -> Vec<DenseVector> {
         match self {
@@ -71,6 +88,47 @@ impl Encoder {
             Encoder::FastText(m) => m.dim(),
             Encoder::Albert(m) => m.dim(),
         }
+    }
+}
+
+/// An [`Encoder`] plus one token-vector cache shared by every text it
+/// encodes (see [`Encoder::caching`]).
+///
+/// fastText token vectors are pure functions of the token, so a batch
+/// computes each distinct token's vector once instead of once per
+/// occurrence, and keeps it only until its last planned occurrence.
+/// ALBERT token vectors depend on their neighbours, so
+/// its texts encode as with [`Encoder::encode`]. Encoding runs on the
+/// calling thread.
+///
+/// ```
+/// use er_embed::EmbeddingModel;
+///
+/// let enc = EmbeddingModel::FastText.encoder();
+/// let texts = ["canon eos camera", "canon eos lens"];
+/// let mut batch = enc.caching(texts);
+/// for text in texts {
+///     assert_eq!(batch.encode(text), enc.encode(text));
+/// }
+/// ```
+#[derive(Debug)]
+pub struct CachingEncoder<'a> {
+    encoder: &'a Encoder,
+    tokens: TokenCache,
+}
+
+impl CachingEncoder<'_> {
+    /// Embed a whole text, bit-identical to [`Encoder::encode`].
+    pub fn encode(&mut self, text: &str) -> DenseVector {
+        match self.encoder {
+            Encoder::FastText(m) => m.encode_with(text, &mut self.tokens),
+            Encoder::Albert(m) => m.encode(text),
+        }
+    }
+
+    /// Vector dimensionality.
+    pub fn dim(&self) -> usize {
+        self.encoder.dim()
     }
 }
 
@@ -199,6 +257,35 @@ mod tests {
             SemanticMeasure::WordMovers.similarity(&enc, "", "text"),
             0.0
         );
+    }
+
+    /// Encoding a batch through one shared token cache equals encoding
+    /// every text on its own, bit for bit: tokens repeat within and
+    /// across texts, and the batch holds an empty and a non-ASCII text.
+    #[test]
+    fn caching_encoder_matches_per_text_encode() {
+        let texts = [
+            "canon eos 5d camera",
+            "canon canon lens",
+            "",
+            "   ",
+            "Müller straße café 東京 camera",
+            "eos 5d mark camera lens",
+            "müller CAFÉ",
+        ];
+        for model in EmbeddingModel::all() {
+            let enc = model.encoder();
+            // Planned twice over, so the second pass reads cached tokens;
+            // the unplanned texts after it are encoded without the cache.
+            let mut batch = enc.caching(texts.iter().chain(&texts));
+            assert_eq!(batch.dim(), enc.dim());
+            let unplanned = ["canon lens café", "zoom"];
+            for text in texts.iter().chain(&texts).chain(&unplanned) {
+                let (cached, fresh) = (batch.encode(text), enc.encode(text));
+                let bits = |v: &DenseVector| v.0.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&cached), bits(&fresh), "{}: {text:?}", model.name());
+            }
+        }
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //!   "edges above t" is a prefix slice of the prepared graph's sorted edge
 //!   view and greedy matchers resume the previous grid point's state
 //!   instead of restarting;
-//! * the units fan out over crossbeam scoped worker threads (the same
+//! * the units fan out over `std::thread::scope` worker threads (the same
 //!   worker-pool pattern as `er-pipeline`'s corpus runner).
 //!
 //! The engine is **result-equivalent** to the naive per-threshold re-run
@@ -21,7 +21,6 @@
 //! equality of best threshold, precision/recall/F1, and per-threshold
 //! matchings for all eight algorithms.
 
-use crossbeam::thread;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
@@ -119,9 +118,9 @@ impl SweepEngine {
         let workers = self.threads.min(n);
         let next = std::sync::atomic::AtomicUsize::new(0);
         let slots: Mutex<Vec<Option<SweepResult>>> = Mutex::new((0..n).map(|_| None).collect());
-        thread::scope(|s| {
+        std::thread::scope(|s| {
             for _ in 0..workers {
-                s.spawn(|_| loop {
+                s.spawn(|| loop {
                     let idx = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                     if idx >= n {
                         break;
@@ -130,8 +129,7 @@ impl SweepEngine {
                     slots.lock()[idx] = Some(result);
                 });
             }
-        })
-        .expect("sweep worker panicked");
+        });
         slots
             .into_inner()
             .into_iter()

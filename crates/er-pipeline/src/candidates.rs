@@ -17,11 +17,22 @@
 //!   [`LengthBucketIndex`]: whole length buckets are skipped via the
 //!   `O(1)` length bound, and bucket members via the counting-filter bound
 //!   computed by one multiplicity probe of the bucket postings.
-//! * **Semantic measures** (`generate_ball_candidates`) — centroid-ball
-//!   pruning over a [`VectorBallIndex`]: balls are visited in ascending
-//!   distance-lower-bound order and generation stops at the first ball
-//!   whose mapped similarity bound falls strictly below the admission
-//!   bound.
+//! * **Word Mover's** (`generate_ball_candidates`) — centroid-ball
+//!   pruning over a [`VectorBallIndex`] of the right bags' summary
+//!   centroids: balls are visited in ascending distance-lower-bound order
+//!   and generation stops at the first ball whose mapped similarity bound
+//!   falls strictly below the admission bound. The resident service
+//!   (`crate::resident`) probes the same generator for its dense
+//!   semantic families.
+//!
+//! The dense semantic measures (cosine, Euclidean) have **no** index in
+//! the build: their indexed path scores full rows through the
+//! dimension-blocked lane kernel (`er_embed::lanes::VectorBlocks`).
+//! Encoded texts crowd into the encoders' anisotropy cone, so a ball
+//! index over them skipped under 1% of the pairs at `k = 5` and cost
+//! more time than it saved (DESIGN.md §14 has the measurements).
+//! The full-row path still honours the admission bound at row level:
+//! no dense similarity exceeds 1, so `k = 0` generates nothing.
 //!
 //! # Completeness (why no admitted pair is lost)
 //!

@@ -18,7 +18,7 @@
 //! builds the immutable read-side structures — DF indexes, the inverted
 //! index, encoded vectors / n-gram graphs, the interned WMD token table —
 //! and a **score** phase that shards the left-entity rows over
-//! `cfg.effective_threads()` crossbeam scoped workers. Workers share the
+//! `cfg.effective_threads()` scoped workers. Workers share the
 //! prepared state read-only (plain `&` reads, no locks on the hot path),
 //! keep their own scratch (probe stamps, WMD distance caches), claim
 //! contiguous row chunks through an atomic cursor, and emit local triple
@@ -67,7 +67,6 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use crossbeam::thread;
 use parking_lot::Mutex;
 
 use er_core::{
@@ -75,11 +74,8 @@ use er_core::{
     TopKRow,
 };
 use er_datasets::{Dataset, EntityCollection, EntityProfile};
-use er_embed::lanes as embed_lanes;
-use er_embed::{
-    cosine_distance_bound, inverse_distance_bound, BagSummary, DenseVector, SemanticMeasure,
-    VectorBallIndex,
-};
+use er_embed::lanes::{self as embed_lanes, Probe, VectorBlocks};
+use er_embed::{inverse_distance_bound, BagSummary, DenseVector, SemanticMeasure, VectorBallIndex};
 use er_textsim::lanes::{self, MyersBatch, LANE_WIDTH};
 use er_textsim::{
     CharMeasure, CharScratch, CharTable, DfIndex, GraphSimilarity, LengthBucketIndex, NGramGraph,
@@ -368,14 +364,14 @@ pub fn build_graph_topk_stats(
 /// *enumeration* with index-driven generation under the sink's admission
 /// bound (prefix-filtered postings for the token-vector measures, length
 /// buckets with counting filters for the character measures, centroid
-/// balls for the semantic measures — see [`crate::candidates`]): pairs an
-/// index rules out are never materialized, so
-/// [`TopKStats::generated_pairs`] itself drops below `n_left × n_right`
-/// while the finished graph stays **bit-identical** to
-/// [`CandidateMode::Enumerated`] for every taxonomy branch, `k` and
-/// thread count (property-proven in `tests/candidates_props.rs`).
-/// Branches without a candidate index (the schema-based token measures,
-/// the n-gram graph models) fall back to their own enumeration — still
+/// balls for Word Mover's — see [`crate::candidates`]): pairs an index
+/// rules out are never materialized, so [`TopKStats::generated_pairs`]
+/// itself drops below `n_left × n_right` while the finished graph stays
+/// **bit-identical** to [`CandidateMode::Enumerated`] for every taxonomy
+/// branch, `k` and thread count (property-proven in
+/// `tests/candidates_props.rs`). Branches without a candidate index (the
+/// schema-based token measures, the n-gram graph models, the dense
+/// semantic measures) fall back to their own enumeration — still
 /// correct, just not sub-quadratic.
 ///
 /// ```
@@ -696,9 +692,9 @@ fn fan_out_chunks<S: RowScorer>(
 
     let next = AtomicUsize::new(0);
     let slots: Mutex<Vec<Option<Vec<Triple>>>> = Mutex::new((0..n_chunks).map(|_| None).collect());
-    thread::scope(|s| {
+    std::thread::scope(|s| {
         for _ in 0..threads {
-            s.spawn(|_| {
+            s.spawn(|| {
                 let mut scratch = scorer.scratch();
                 loop {
                     let c = next.fetch_add(1, Ordering::Relaxed);
@@ -710,8 +706,7 @@ fn fan_out_chunks<S: RowScorer>(
                 }
             });
         }
-    })
-    .expect("construction worker panicked");
+    });
     slots
         .into_inner()
         .into_iter()
@@ -1009,7 +1004,6 @@ fn visit_scorer<V: ScorerVisitor>(
                     *measure,
                     scope,
                     cfg.keep_positive_only,
-                    indexed,
                     cfg.kernel_mode,
                 );
                 v.visit(&s)
@@ -2260,45 +2254,32 @@ pub(crate) fn scoped_text(p: &EntityProfile, scope: &SemanticScope) -> String {
     }
 }
 
-/// Tolerance of the unit-normalization check behind the cosine ball
-/// index: a normalized clone whose norm strays further than this from 1
-/// gets probe/entry radius `+∞`, which turns every one of its distance
-/// lower bounds into 0 — the pair is simply never pruned. Well inside
-/// the `COSINE_NORMALIZATION_MARGIN` the similarity bound adds, so the
-/// margin absorbs the residual norm error with orders of headroom.
-const UNIT_NORM_TOLERANCE: f64 = 1e-5;
-
-/// Normalized copy of `v` plus its ball probe/entry radius: `0` when the
-/// copy is verifiably unit-norm, `+∞` when normalization failed (zero or
-/// degenerate norms) so the vector can never be pruned.
-pub(crate) fn unit_probe(v: &DenseVector) -> (DenseVector, f64) {
-    let mut u = v.clone();
-    u.normalize();
-    let radius = if (u.norm() - 1.0).abs() <= UNIT_NORM_TOLERANCE {
-        0.0
-    } else {
-        f64::INFINITY
-    };
-    (u, radius)
-}
-
 /// All-pairs semantic scoring over pre-encoded text vectors.
+///
+/// Every branch scores **full rows**, [`CandidateMode::Indexed`]
+/// included: encoded texts crowd into the encoders' anisotropy cone, so a
+/// centroid-ball index over them skipped under 1% of the pairs at
+/// `k = 5` and cost more than it saved (DESIGN.md §14). The right vectors are
+/// stored once, in the dimension-major [`VectorBlocks`] layout the lane
+/// kernel reads, with their norms and zero flags cached.
 struct DenseSemanticScorer {
     left: Vec<DenseVector>,
-    right: Vec<DenseVector>,
-    /// Centroid-ball index over the non-zero right vectors
-    /// ([`CandidateMode::Indexed`] only). Euclidean indexes the raw
-    /// vectors; cosine indexes unit-normalized copies (angles become
-    /// chord distances), dropped after the build — only ball leaders
-    /// are retained.
-    ball: Option<VectorBallIndex>,
+    right: VectorBlocks,
     measure: SemanticMeasure,
     keep_positive: bool,
     kernel: KernelMode,
 }
 
+/// Per-worker scratch of [`DenseSemanticScorer`].
+struct DenseScratch {
+    /// One right vector copied out for the scalar reference kernel.
+    vector: DenseVector,
+    /// Up to [`LANE_WIDTH`](embed_lanes::LANE_WIDTH) restricted
+    /// candidates packed into one block.
+    gathered: VectorBlocks,
+}
+
 impl DenseSemanticScorer {
-    #[allow(clippy::too_many_arguments)]
     fn prepare(
         left: &EntityCollection,
         right: &EntityCollection,
@@ -2306,240 +2287,153 @@ impl DenseSemanticScorer {
         measure: SemanticMeasure,
         scope: &SemanticScope,
         keep_positive: bool,
-        indexed: bool,
         kernel: KernelMode,
     ) -> Self {
-        let encode_all = |c: &EntityCollection| -> Vec<DenseVector> {
-            c.profiles
-                .iter()
-                .map(|p| enc.encode(&scoped_text(p, scope)))
-                .collect()
-        };
-        let left = encode_all(left);
-        let right = encode_all(right);
-        let ball = indexed.then(|| {
-            if matches!(measure, SemanticMeasure::Cosine) {
-                let normalized: Vec<(u32, DenseVector, f64)> = right
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, v)| !v.is_zero())
-                    .map(|(j, v)| {
-                        let (u, r) = unit_probe(v);
-                        (j as u32, u, r)
-                    })
-                    .collect();
-                let entries: Vec<(u32, &DenseVector, f64)> =
-                    normalized.iter().map(|(j, u, r)| (*j, u, *r)).collect();
-                VectorBallIndex::build(&entries)
-            } else {
-                let entries: Vec<(u32, &DenseVector, f64)> = right
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, v)| !v.is_zero())
-                    .map(|(j, v)| (j as u32, v, 0.0))
-                    .collect();
-                VectorBallIndex::build(&entries)
-            }
-        });
+        // One token cache for both sides: a token shared by many
+        // profiles is embedded once per build.
+        let texts = left.profiles.iter().chain(&right.profiles);
+        let mut enc = enc.caching(texts.map(|p| scoped_text(p, scope)));
+        let left = left
+            .profiles
+            .iter()
+            .map(|p| enc.encode(&scoped_text(p, scope)))
+            .collect();
+        let mut blocks = VectorBlocks::with_capacity(enc.dim(), right.len());
+        for p in &right.profiles {
+            blocks.push(&enc.encode(&scoped_text(p, scope)));
+        }
         DenseSemanticScorer {
             left,
-            right,
-            ball,
+            right: blocks,
             measure,
             keep_positive,
             kernel,
         }
     }
 
-    /// Score one lane chunk of right indices through the batched dense
-    /// kernels ([`er_embed::lanes`]) and emit — bit-identical to looping
-    /// [`SemanticMeasure::similarity_vectors`] over the same indices in
-    /// the same order, because each lane runs the exact scalar float
-    /// sequence. All `js` must reference non-zero right vectors.
-    fn emit_dense_lanes<O: EdgeSink>(&self, li: u32, js: &[u32], out: &mut O) {
-        let a = &self.left[li as usize];
-        debug_assert!(!js.is_empty() && js.len() <= embed_lanes::LANE_WIDTH);
-        let mut refs: [&DenseVector; embed_lanes::LANE_WIDTH] = [a; embed_lanes::LANE_WIDTH];
-        for (i, &j) in js.iter().enumerate() {
-            refs[i] = &self.right[j as usize];
+    /// Emit one scored candidate under the positivity filter.
+    #[inline]
+    fn emit_scored<O: EdgeSink>(&self, li: u32, j: u32, w: f64, out: &mut O) {
+        out.note_generated();
+        out.note_scored();
+        if w > 0.0 || !self.keep_positive {
+            out.emit(li, j, w);
         }
-        let mut sims = [0.0f64; embed_lanes::LANE_WIDTH];
-        embed_lanes::similarity_vectors_batch(self.measure, a, &refs[..js.len()], &mut sims);
-        for (i, &j) in js.iter().enumerate() {
-            out.note_generated();
-            let w = sims[i];
-            out.note_scored();
-            if w > 0.0 || !self.keep_positive {
-                out.emit(li, j, w);
-            }
+    }
+
+    /// Score the candidates `js` (ascending, non-zero right vectors) with
+    /// the scalar reference [`SemanticMeasure::similarity_vectors`].
+    fn emit_scalar<O: EdgeSink>(
+        &self,
+        li: u32,
+        js: impl Iterator<Item = u32>,
+        scratch: &mut DenseScratch,
+        out: &mut O,
+    ) {
+        let a = &self.left[li as usize];
+        for j in js {
+            self.right.copy_into(j as usize, &mut scratch.vector);
+            let w = self.measure.similarity_vectors(a, &scratch.vector);
+            self.emit_scored(li, j, w, out);
         }
     }
 }
 
 impl RowScorer for DenseSemanticScorer {
-    /// Ball-distance scratch of the indexed path (unused otherwise).
-    type Scratch = Vec<(f64, u32)>;
+    type Scratch = DenseScratch;
 
     fn n_rows(&self) -> usize {
         self.left.len()
     }
 
-    fn scratch(&self) -> Self::Scratch {
-        Vec::new()
-    }
-
-    fn score_row<O: EdgeSink>(&self, row: usize, _scratch: &mut Self::Scratch, out: &mut O) {
-        let a = &self.left[row];
-        if a.is_zero() {
-            return;
-        }
-        if matches!(self.kernel, KernelMode::Lanes) {
-            let mut js = [0u32; embed_lanes::LANE_WIDTH];
-            let mut cn = 0;
-            for (j, b) in self.right.iter().enumerate() {
-                if b.is_zero() {
-                    continue;
-                }
-                js[cn] = j as u32;
-                cn += 1;
-                if cn == embed_lanes::LANE_WIDTH {
-                    self.emit_dense_lanes(row as u32, &js[..cn], out);
-                    cn = 0;
-                }
-            }
-            if cn > 0 {
-                self.emit_dense_lanes(row as u32, &js[..cn], out);
-            }
-            return;
-        }
-        for (j, b) in self.right.iter().enumerate() {
-            if b.is_zero() {
-                continue;
-            }
-            out.note_generated();
-            let w = self.measure.similarity_vectors(a, b);
-            out.note_scored();
-            if w > 0.0 || !self.keep_positive {
-                out.emit(row as u32, j as u32, w);
-            }
+    fn scratch(&self) -> DenseScratch {
+        DenseScratch {
+            vector: DenseVector::zeros(self.right.dim()),
+            gathered: VectorBlocks::with_capacity(self.right.dim(), embed_lanes::LANE_WIDTH),
         }
     }
 
-    fn score_row_indexed<O: EdgeSink>(&self, row: usize, scratch: &mut Self::Scratch, out: &mut O) {
-        let ball = self
-            .ball
-            .as_ref()
-            .expect("indexed mode prepared without a ball index");
+    fn score_row<O: EdgeSink>(&self, row: usize, scratch: &mut DenseScratch, out: &mut O) {
         let a = &self.left[row];
         if a.is_zero() {
             return;
         }
         let li = row as u32;
-        let cosine = matches!(self.measure, SemanticMeasure::Cosine);
-        let probe_owned;
-        let (probe, probe_radius) = if cosine {
-            let (u, r) = unit_probe(a);
-            probe_owned = u;
-            (&probe_owned, r)
-        } else {
-            (a, 0.0)
-        };
-        let map: fn(f64) -> f64 = if cosine {
-            cosine_distance_bound
-        } else {
-            inverse_distance_bound
-        };
-        if matches!(self.kernel, KernelMode::Lanes) {
-            // Generated candidates are buffered into lanes; between
-            // flushes the generator keeps the bound of the last flush,
-            // enumerating a superset whose extras all score strictly
-            // below the final admission bound (the generator's prune is
-            // strict `<` against a non-decreasing bound) — the retained
-            // graph is bit-identical to the scalar path.
-            let mut js = [0u32; embed_lanes::LANE_WIDTH];
-            let mut cn = 0usize;
-            generate_ball_candidates(
-                ball,
-                probe,
-                probe_radius,
-                scratch,
-                map,
-                out.admission_bound(),
-                |j| {
-                    js[cn] = j;
-                    cn += 1;
-                    if cn == embed_lanes::LANE_WIDTH {
-                        self.emit_dense_lanes(li, &js[..cn], out);
-                        cn = 0;
-                    }
-                    out.admission_bound()
-                },
-            );
-            if cn > 0 {
-                self.emit_dense_lanes(li, &js[..cn], out);
-            }
+        if matches!(self.kernel, KernelMode::Scalar) {
+            let live = (0..self.right.len()).filter(|&j| !self.right.is_zero(j));
+            self.emit_scalar(li, live.map(|j| j as u32), scratch, out);
             return;
         }
-        generate_ball_candidates(
-            ball,
-            probe,
-            probe_radius,
-            scratch,
-            map,
-            out.admission_bound(),
-            |j| {
-                out.note_generated();
-                let w = self.measure.similarity_vectors(a, &self.right[j as usize]);
-                out.note_scored();
-                if w > 0.0 || !self.keep_positive {
-                    out.emit(li, j, w);
+        let probe = Probe::new(a);
+        let mut sims = [0.0f64; embed_lanes::LANE_WIDTH];
+        for block in 0..self.right.n_blocks() {
+            self.right
+                .similarity_block(self.measure, &probe, block, &mut sims);
+            let first = block * embed_lanes::LANE_WIDTH;
+            let lanes = (self.right.len() - first).min(embed_lanes::LANE_WIDTH);
+            for (l, &w) in sims[..lanes].iter().enumerate() {
+                if !self.right.is_zero(first + l) {
+                    self.emit_scored(li, (first + l) as u32, w, out);
                 }
-                out.admission_bound()
-            },
-        );
+            }
+        }
+    }
+
+    /// Full rows, but no row at all when the sink can admit nothing
+    /// (`k = 0`): every dense similarity is at most 1, so an admission
+    /// bound above 1 rules out the whole row before it is generated.
+    fn score_row_indexed<O: EdgeSink>(&self, row: usize, scratch: &mut DenseScratch, out: &mut O) {
+        if out.admission_bound() > 1.0 {
+            return;
+        }
+        self.score_row(row, scratch, out);
     }
 
     fn score_row_restricted<O: EdgeSink>(
         &self,
         row: usize,
         cands: &CandidateLists,
-        _scratch: &mut Self::Scratch,
+        scratch: &mut DenseScratch,
         out: &mut O,
     ) {
         let a = &self.left[row];
         if a.is_zero() {
             return;
         }
-        if matches!(self.kernel, KernelMode::Lanes) {
-            let mut js = [0u32; embed_lanes::LANE_WIDTH];
-            let mut cn = 0;
-            for &j in cands.row(row as u32) {
-                if self.right[j as usize].is_zero() {
-                    continue;
-                }
-                js[cn] = j;
-                cn += 1;
-                if cn == embed_lanes::LANE_WIDTH {
-                    self.emit_dense_lanes(row as u32, &js[..cn], out);
-                    cn = 0;
-                }
-            }
-            if cn > 0 {
-                self.emit_dense_lanes(row as u32, &js[..cn], out);
-            }
+        let li = row as u32;
+        let live = cands
+            .row(li)
+            .iter()
+            .copied()
+            .filter(|&j| !self.right.is_zero(j as usize));
+        if matches!(self.kernel, KernelMode::Scalar) {
+            self.emit_scalar(li, live, scratch, out);
             return;
         }
-        for &j in cands.row(row as u32) {
-            let b = &self.right[j as usize];
-            if b.is_zero() {
-                continue;
+        // Pack the candidates into one block at a time, then run the
+        // same block kernel as the full-row path.
+        let probe = Probe::new(a);
+        let mut js = [0u32; embed_lanes::LANE_WIDTH];
+        let mut sims = [0.0f64; embed_lanes::LANE_WIDTH];
+        let mut flush = |gathered: &mut VectorBlocks, js: &[u32], out: &mut O| {
+            gathered.similarity_block(self.measure, &probe, 0, &mut sims);
+            for (&j, &w) in js.iter().zip(&sims) {
+                self.emit_scored(li, j, w, out);
             }
-            out.note_generated();
-            let w = self.measure.similarity_vectors(a, b);
-            out.note_scored();
-            if w > 0.0 || !self.keep_positive {
-                out.emit(row as u32, j, w);
+            gathered.clear();
+        };
+        let mut cn = 0;
+        for j in live {
+            scratch.gathered.push_from(&self.right, j as usize);
+            js[cn] = j;
+            cn += 1;
+            if cn == embed_lanes::LANE_WIDTH {
+                flush(&mut scratch.gathered, &js, out);
+                cn = 0;
             }
+        }
+        if cn > 0 {
+            flush(&mut scratch.gathered, &js[..cn], out);
         }
     }
 }

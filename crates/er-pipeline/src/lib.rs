@@ -42,7 +42,7 @@
 //!   `MappedCsr` — peak resident edges drop to one shard's
 //!   `shard_rows × k` while the result stays bit-identical to the in-RAM
 //!   top-k build;
-//! * a crossbeam-parallel [`runner`] that generates a dataset's whole
+//! * a parallel [`runner`] that generates a dataset's whole
 //!   graph corpus, dividing its thread budget with the per-graph engine.
 
 pub mod blocking;

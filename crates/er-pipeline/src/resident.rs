@@ -64,7 +64,7 @@ use crate::candidates::{
     generate_ball_candidates, generate_char_candidates, generate_token_candidates,
 };
 use crate::config::{KernelMode, PipelineConfig};
-use crate::graphgen::{scoped_text, unit_probe, NormFrame, ScoreMode};
+use crate::graphgen::{scoped_text, NormFrame, ScoreMode};
 use crate::taxonomy::{SemanticScope, SimilarityFunction};
 
 /// Fraction of un-indexed overflow entries (relative to the indexed
@@ -723,6 +723,28 @@ impl CharFamily {
 // ---------------------------------------------------------------------------
 // Dense semantic family: resident encodings + centroid-ball probes.
 // ---------------------------------------------------------------------------
+
+/// Tolerance of the unit-normalization check behind the cosine ball
+/// index: a normalized clone whose norm strays further than this from 1
+/// gets probe/entry radius `+∞`, which turns every one of its distance
+/// lower bounds into 0 — the pair is simply never pruned. Well inside
+/// the `COSINE_NORMALIZATION_MARGIN` the similarity bound adds, so the
+/// margin absorbs the residual norm error with orders of headroom.
+const UNIT_NORM_TOLERANCE: f64 = 1e-5;
+
+/// Normalized copy of `v` plus its ball probe/entry radius: `0` when the
+/// copy is verifiably unit-norm, `+∞` when normalization failed (zero or
+/// degenerate norms) so the vector can never be pruned.
+fn unit_probe(v: &DenseVector) -> (DenseVector, f64) {
+    let mut u = v.clone();
+    u.normalize();
+    let radius = if (u.norm() - 1.0).abs() <= UNIT_NORM_TOLERANCE {
+        0.0
+    } else {
+        f64::INFINITY
+    };
+    (u, radius)
+}
 
 struct DenseSide {
     vecs: Vec<DenseVector>,

@@ -1,6 +1,5 @@
 //! Parallel corpus generation: every similarity function over one dataset.
 
-use crossbeam::thread;
 use parking_lot::Mutex;
 
 use er_datasets::Dataset;
@@ -34,9 +33,9 @@ pub fn generate_corpus(
     let next = std::sync::atomic::AtomicUsize::new(0);
     let slots: Mutex<Vec<Option<GeneratedGraph>>> = Mutex::new((0..n).map(|_| None).collect());
 
-    thread::scope(|s| {
+    std::thread::scope(|s| {
         for _ in 0..workers {
-            s.spawn(|_| loop {
+            s.spawn(|| loop {
                 let idx = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                 if idx >= n {
                     break;
@@ -46,8 +45,7 @@ pub fn generate_corpus(
                 slots.lock()[idx] = Some(GeneratedGraph { function, graph });
             });
         }
-    })
-    .expect("corpus generation worker panicked");
+    });
 
     slots
         .into_inner()

@@ -5,9 +5,10 @@
 //! Invariants:
 //! 1. **Completeness / bit-identity**: for every branch of the taxonomy —
 //!    all 7 character measures over their length-bucket index, all 6
-//!    n-gram vector measures over the prefix-filtered inverted index, the
-//!    semantic cosine/Euclidean/Word-Mover's branches over their centroid
-//!    balls, and the fallback branches without an index — the indexed
+//!    n-gram vector measures over the prefix-filtered inverted index,
+//!    Word Mover's over its centroid balls, the dense semantic
+//!    cosine/Euclidean branches (full rows), and the fallback branches
+//!    without an index — the indexed
 //!    build is **bit-identical** to the enumerated build, serially and
 //!    with 4 workers, for every `k`. An index may only *skip* pairs whose
 //!    exact upper bound falls strictly below the sink's admission bound,
@@ -25,12 +26,20 @@
 //!    path (the admission bound is `+∞` from the start); `k = ∞` never
 //!    lets a generator skip (the bound stays `-∞`), reproducing the dense
 //!    edge set.
+//! 5. **Dense semantic paths**: all 12 dense semantic functions (both
+//!    models × cosine/Euclidean × two attributes and schema-agnostic)
+//!    give byte-identical graphs under every `KernelMode` ×
+//!    `CandidateMode` × thread count, through the out-of-core
+//!    `build_graph_sharded`, and on the restricted (blocked) path.
 
-use er_core::SimilarityGraph;
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+use er_core::{CsrGraph, SimilarityGraph};
 use er_datasets::{EntityCollection, EntityProfile};
 use er_embed::{EmbeddingModel, SemanticMeasure};
 use er_pipeline::{
-    build_graph_over, build_graph_topk_mode, CandidateMode, PipelineConfig, SemanticScope,
+    build_graph_over, build_graph_restricted, build_graph_sharded, build_graph_topk_mode,
+    token_blocking, CandidateMode, KernelMode, PipelineConfig, SemanticScope, ShardedConfig,
     SimilarityFunction, TopKStats,
 };
 use er_textsim::{
@@ -201,6 +210,44 @@ fn fallback_branches() -> Vec<SimilarityFunction> {
     ]
 }
 
+/// The 12 dense semantic functions: both models × cosine/Euclidean ×
+/// the two attributes and the schema-agnostic scope.
+fn dense_semantic_functions() -> Vec<SimilarityFunction> {
+    let mut fns = Vec::new();
+    for model in EmbeddingModel::all() {
+        for measure in [SemanticMeasure::Cosine, SemanticMeasure::Euclidean] {
+            for scope in [
+                SemanticScope::SchemaBased {
+                    attribute: "name".into(),
+                },
+                SemanticScope::SchemaBased {
+                    attribute: "desc".into(),
+                },
+                SemanticScope::SchemaAgnostic,
+            ] {
+                fns.push(SimilarityFunction::Semantic {
+                    model,
+                    measure,
+                    scope,
+                });
+            }
+        }
+    }
+    fns
+}
+
+/// A fresh directory for one sharded build's spills and store.
+fn scratch_dir() -> std::path::PathBuf {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    let dir = std::env::temp_dir().join(format!(
+        "ccer-candidates-props-{}-{}",
+        std::process::id(),
+        NEXT.fetch_add(1, Ordering::Relaxed)
+    ));
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
@@ -250,10 +297,9 @@ proptest! {
         check_function(&left, &right, &function, k, 1);
     }
 
-    /// Invariants 1 and 2 over the semantic branches: centroid-ball
-    /// generation (raw vectors for Euclidean, unit-normalized copies for
-    /// cosine, bag summaries for Word Mover's) never prunes a retained
-    /// pair.
+    /// Invariants 1 and 2 over the semantic branches: the dense measures
+    /// score full rows on the indexed path, and centroid-ball generation
+    /// over bag summaries (Word Mover's) never prunes a retained pair.
     #[test]
     fn semantic_indexed_matches_enumerated(
         left in arb_collection(5),
@@ -371,6 +417,78 @@ proptest! {
                 "{}: indexed k = ∞ reproduces the dense edge set",
                 function.name()
             );
+        }
+    }
+
+    /// Invariant 5: the scalar, enumerated, serial top-k build is the
+    /// reference; every kernel × candidate mode × thread count, the
+    /// sharded out-of-core build, and the dense and restricted builds
+    /// under both kernels reproduce it byte for byte.
+    #[test]
+    fn dense_semantic_paths_are_byte_identical(
+        left in arb_collection(6),
+        right in arb_collection(11),
+        k in 1usize..=3,
+    ) {
+        let blocked = token_blocking(&left, &right).candidate_pairs();
+        for function in dense_semantic_functions() {
+            let with = |kernel: KernelMode, threads: usize| PipelineConfig {
+                kernel_mode: kernel,
+                ..cfg_with(threads)
+            };
+            let scalar = with(KernelMode::Scalar, 1);
+            let (want, _) = build_graph_topk_mode(
+                &left, &right, &function, k, CandidateMode::Enumerated, &scalar,
+            );
+            for kernel in [KernelMode::Scalar, KernelMode::Lanes] {
+                for mode in [CandidateMode::Enumerated, CandidateMode::Indexed] {
+                    for threads in [1, 2] {
+                        let (got, stats) = build_graph_topk_mode(
+                            &left, &right, &function, k, mode, &with(kernel, threads),
+                        );
+                        let what = format!(
+                            "{} k={k} {kernel:?} {mode:?} threads={threads}",
+                            function.name()
+                        );
+                        assert_bit_identical(&want, &got, &what);
+                        assert_counters_consistent(&stats, &what);
+                    }
+                }
+                let two_threads = with(kernel, 2);
+                let what = format!("{} {kernel:?}", function.name());
+                assert_bit_identical(
+                    &build_graph_over(&left, &right, &function, &scalar),
+                    &build_graph_over(&left, &right, &function, &two_threads),
+                    &format!("{what} dense"),
+                );
+                assert_bit_identical(
+                    &build_graph_restricted(&left, &right, &function, &blocked, &scalar),
+                    &build_graph_restricted(&left, &right, &function, &blocked, &two_threads),
+                    &format!("{what} restricted"),
+                );
+            }
+
+            let dir = scratch_dir();
+            let (mapped, _, _) = build_graph_sharded(
+                &left,
+                &right,
+                &function,
+                k,
+                CandidateMode::Indexed,
+                &with(KernelMode::Lanes, 2),
+                &ShardedConfig::new(2, dir.join("spills")),
+                &dir.join("graph.slab"),
+            )
+            .expect("sharded build succeeds");
+            prop_assert_eq!(
+                mapped.to_csr(),
+                CsrGraph::from_graph(&want),
+                "{} k={}: sharded store",
+                function.name(),
+                k
+            );
+            drop(mapped);
+            std::fs::remove_dir_all(&dir).ok();
         }
     }
 }

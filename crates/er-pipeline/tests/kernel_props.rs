@@ -9,16 +9,19 @@
 //!   multi-block patterns (> 64 chars), and ragged batch tails;
 //! * the batched length/counting-filter screens vs. the scalar
 //!   per-candidate bound formulas, for all 7 character measures;
-//! * the lane-parallel dense kernels (dot, cosine, Euclidean, the
-//!   guarded similarity wrapper) vs. the scalar `DenseVector` geometry,
-//!   plus the operand-order symmetry the WMD cache prefill relies on;
+//! * the dimension-blocked semantic kernel (cosine and Euclidean, zero
+//!   guards, signed zeros, extreme components, the gather path) vs. the
+//!   scalar `SemanticMeasure::similarity_vectors`, and the batched
+//!   Euclidean distances plus the operand-order symmetry the WMD cache
+//!   prefill relies on;
 //! * whole graphs: for all 7 character measures and the three semantic
 //!   measures (cosine, Euclidean, Word Mover's), dense and top-k builds
 //!   under `KernelMode::Lanes` equal `KernelMode::Scalar` bit for bit.
 
 use er_core::SimilarityGraph;
 use er_datasets::{EntityCollection, EntityProfile};
-use er_embed::{lanes as embed_lanes, DenseVector, EmbeddingModel, SemanticMeasure};
+use er_embed::lanes::{self as embed_lanes, Probe, VectorBlocks};
+use er_embed::{DenseVector, EmbeddingModel, SemanticMeasure};
 use er_pipeline::{
     build_graph_over, build_graph_topk_mode, CandidateMode, KernelMode, PipelineConfig,
     SemanticScope, SimilarityFunction,
@@ -68,6 +71,34 @@ fn arb_unicode_collection(max_entities: usize) -> impl Strategy<Value = EntityCo
     })
 }
 
+/// One vector component: mostly ordinary values, sometimes an extreme
+/// one — signed zeros, the largest and smallest normal magnitudes, a
+/// subnormal, and a large power of ten.
+fn arb_component() -> impl Strategy<Value = f32> {
+    (0usize..40, -1000.0f32..1000.0).prop_map(|(pick, x)| match pick {
+        0 => 0.0,
+        1 => -0.0,
+        2 => f32::MAX,
+        3 => -f32::MAX,
+        4 => f32::MIN_POSITIVE,
+        5 => -f32::from_bits(1),
+        6 => 1e30,
+        _ => x,
+    })
+}
+
+/// A `dim`-dimensional vector; about one in six is a zero vector, built
+/// from `+0.0` or `-0.0` components.
+fn arb_vector(dim: usize) -> impl Strategy<Value = DenseVector> {
+    (0usize..12, proptest::collection::vec(arb_component(), dim)).prop_map(move |(pick, v)| {
+        match pick {
+            0 => DenseVector(vec![0.0; dim]),
+            1 => DenseVector(vec![-0.0; dim]),
+            _ => DenseVector(v),
+        }
+    })
+}
+
 fn cfg(kernel: KernelMode) -> PipelineConfig {
     PipelineConfig {
         threads: 1,
@@ -88,6 +119,46 @@ fn assert_bit_identical(a: &SimilarityGraph, b: &SimilarityGraph, what: &str) {
             x.left,
             x.right
         );
+    }
+}
+
+/// Signed zeros, exhaustively: every 2-d vector over `{-1, -0, +0, 1}`
+/// against every other. Random components almost never make every
+/// product of a dot product `-0.0`; here many pairs do, and the block
+/// kernel must keep the sign the scalar sum keeps.
+#[test]
+fn blocked_kernel_keeps_signed_zeros() {
+    let values = [-1.0f32, -0.0, 0.0, 1.0];
+    let vectors: Vec<DenseVector> = values
+        .iter()
+        .flat_map(|&x| values.iter().map(move |&y| DenseVector(vec![x, y])))
+        .collect();
+    let mut blocks = VectorBlocks::with_capacity(2, vectors.len());
+    for v in &vectors {
+        blocks.push(v);
+    }
+    let mut out = [0.0f64; embed_lanes::LANE_WIDTH];
+    for a in &vectors {
+        let probe = Probe::new(a);
+        for m in [SemanticMeasure::Cosine, SemanticMeasure::Euclidean] {
+            for block in 0..blocks.n_blocks() {
+                blocks.similarity_block(m, &probe, block, &mut out);
+                for (l, b) in vectors[block * embed_lanes::LANE_WIDTH..]
+                    .iter()
+                    .take(embed_lanes::LANE_WIDTH)
+                    .enumerate()
+                {
+                    assert_eq!(
+                        out[l].to_bits(),
+                        m.similarity_vectors(a, b).to_bits(),
+                        "{} {:?} vs {:?}",
+                        m.name(),
+                        a.0,
+                        b.0
+                    );
+                }
+            }
+        }
     }
 }
 
@@ -176,37 +247,19 @@ proptest! {
         }
     }
 
-    /// The lane-parallel dense kernels equal the scalar `DenseVector`
-    /// geometry bit for bit — including zero vectors (the guarded
-    /// similarity wrapper) and ragged batches. Also pins the symmetry
-    /// `‖a − b‖ ≡ ‖b − a‖` at the bit level: the WMD cache prefill
-    /// computes distances probe-first while the scalar cache computes
-    /// them in canonical key order, and this is why the two fills agree.
+    /// The batched Euclidean distances the WMD cache prefill uses equal
+    /// the scalar `DenseVector` geometry bit for bit, ragged batches
+    /// included. Also pins the symmetry `‖a − b‖ ≡ ‖b − a‖` at the bit
+    /// level: the prefill computes distances probe-first while the
+    /// scalar cache computes them in canonical key order, and this is
+    /// why the two fills agree.
     #[test]
-    fn dense_lane_kernels_match_scalar_bits(
-        a in proptest::collection::vec(-1000.0f32..1000.0, 5),
-        bs in proptest::collection::vec(
-            (0usize..6, proptest::collection::vec(-1000.0f32..1000.0, 5)),
-            1..=embed_lanes::LANE_WIDTH,
-        ),
+    fn euclidean_batch_matches_scalar_bits(
+        a in arb_vector(5),
+        bs in proptest::collection::vec(arb_vector(5), 1..=embed_lanes::LANE_WIDTH),
     ) {
-        let a = DenseVector(a);
-        // Selector 0 swaps in a zero vector (~1 lane in 6), exercising
-        // the guarded similarity wrapper's zero cases.
-        let bs: Vec<DenseVector> = bs
-            .into_iter()
-            .map(|(z, v)| if z == 0 { DenseVector::zeros(5) } else { DenseVector(v) })
-            .collect();
         let refs: Vec<&DenseVector> = bs.iter().collect();
         let mut out = [0.0f64; embed_lanes::LANE_WIDTH];
-        embed_lanes::dot_batch(&a, &refs, &mut out);
-        for (l, b) in bs.iter().enumerate() {
-            prop_assert_eq!(out[l].to_bits(), a.dot(b).to_bits(), "dot lane {}", l);
-        }
-        embed_lanes::cosine_batch(&a, &refs, &mut out);
-        for (l, b) in bs.iter().enumerate() {
-            prop_assert_eq!(out[l].to_bits(), a.cosine(b).to_bits(), "cosine lane {}", l);
-        }
         embed_lanes::euclidean_distance_batch(&a, &refs, &mut out);
         for (l, b) in bs.iter().enumerate() {
             prop_assert_eq!(
@@ -222,16 +275,66 @@ proptest! {
                 l
             );
         }
+    }
+
+    /// The dimension-blocked kernel the semantic graph builds score with
+    /// equals `SemanticMeasure::similarity_vectors` bit for bit, for
+    /// cosine and Euclidean: the fastText/ALBERT dimensions and two odd
+    /// ones, right-side counts off the lane width (ragged last blocks),
+    /// zero vectors (either zero sign) on either side, and extreme
+    /// components. The gather path (`push_from` into a one-block
+    /// buffer) and `copy_into` must reproduce the same vectors.
+    #[test]
+    fn blocked_kernel_matches_scalar_bits(
+        (a, bs) in proptest::sample::select(vec![1usize, 7, 300, 768]).prop_flat_map(|dim| (
+            arb_vector(dim),
+            proptest::collection::vec(arb_vector(dim), 1..=2 * embed_lanes::LANE_WIDTH + 3),
+        )),
+    ) {
+        let mut blocks = VectorBlocks::with_capacity(a.dim(), bs.len());
+        for b in &bs {
+            blocks.push(b);
+        }
+        prop_assert_eq!(blocks.n_blocks(), bs.len().div_ceil(embed_lanes::LANE_WIDTH));
+        let probe = Probe::new(&a);
+        let mut out = [0.0f64; embed_lanes::LANE_WIDTH];
+        let mut copy = DenseVector::zeros(0);
+        let mut gathered = VectorBlocks::with_capacity(a.dim(), embed_lanes::LANE_WIDTH);
         for m in [SemanticMeasure::Cosine, SemanticMeasure::Euclidean] {
-            embed_lanes::similarity_vectors_batch(m, &a, &refs, &mut out);
-            for (l, b) in bs.iter().enumerate() {
-                prop_assert_eq!(
-                    out[l].to_bits(),
-                    m.similarity_vectors(&a, b).to_bits(),
-                    "{} lane {}",
-                    m.name(),
-                    l
-                );
+            for block in 0..blocks.n_blocks() {
+                blocks.similarity_block(m, &probe, block, &mut out);
+                let first = block * embed_lanes::LANE_WIDTH;
+                for (l, b) in bs[first..].iter().take(embed_lanes::LANE_WIDTH).enumerate() {
+                    prop_assert_eq!(
+                        out[l].to_bits(),
+                        m.similarity_vectors(&a, b).to_bits(),
+                        "{} dim {} vector {}",
+                        m.name(),
+                        a.dim(),
+                        first + l
+                    );
+                    prop_assert_eq!(blocks.is_zero(first + l), b.is_zero());
+                }
+            }
+            // Gather every vector in reverse, one block at a time.
+            let order: Vec<usize> = (0..bs.len()).rev().collect();
+            for chunk in order.chunks(embed_lanes::LANE_WIDTH) {
+                gathered.clear();
+                for &j in chunk {
+                    gathered.push_from(&blocks, j);
+                }
+                gathered.similarity_block(m, &probe, 0, &mut out);
+                for (l, &j) in chunk.iter().enumerate() {
+                    prop_assert_eq!(
+                        out[l].to_bits(),
+                        m.similarity_vectors(&a, &bs[j]).to_bits(),
+                        "{} gathered vector {}",
+                        m.name(),
+                        j
+                    );
+                    gathered.copy_into(l, &mut copy);
+                    prop_assert_eq!(&copy, &bs[j]);
+                }
             }
         }
     }
