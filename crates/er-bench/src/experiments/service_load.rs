@@ -193,12 +193,10 @@ fn load_test(seed: u64, smoke: bool, bench: &mut BenchData) -> String {
                     }
                 } else {
                     let side = if i % 2 == 0 { Side::Left } else { Side::Right };
-                    let donor = s
+                    let mut p = s
                         .profile(side, rng.below(64) as u32 % s.n_left().max(1))
                         .or_else(|| s.profile(side, 0))
-                        .expect("resident donor profile")
-                        .clone();
-                    let mut p = donor;
+                        .expect("resident donor profile");
                     p.id = s.next_id(side);
                     let t0 = Instant::now();
                     s.insert(side, &p).expect("insert with handed-out id");

@@ -10,12 +10,19 @@
 //!
 //! [`CsrGraph`] is that store: one offset array over the left rows, the
 //! right-side column ids in a `u32` slab sorted ascending within each row,
-//! and the weights in a parallel `f64` slab. Per edge it spends 12 bytes
-//! (4 for the column id, 8 for the weight) plus `8 / degree` amortized
-//! offset bytes — 25% less than the 16-byte `Edge` triple, before
-//! counting whatever the duplicate-check hash of a builder holds — and
-//! `(left, right)` lookups are a row slice plus a binary search instead
-//! of a linear scan.
+//! and the weights in a parallel `f64` slab — 12 bytes per edge (4 for the
+//! column id, 8 for the weight) plus `8 / degree` amortized offset bytes,
+//! 25% less than the 16-byte `Edge` triple before counting whatever the
+//! duplicate-check hash of a builder holds. `(left, right)` lookups are a
+//! row slice plus a binary search instead of a linear scan.
+//!
+//! Clean-Clean ER is symmetric, so the store is two-way: a **column
+//! index** mirrors the rows — per right id, the ascending left ids of its
+//! edges in a `u32` slab (weights stay in the row slab only), plus `8 /
+//! column degree` amortized offset bytes. A whole store therefore spends
+//! 16 bytes per edge plus both offset arrays, and a right-side read
+//! ([`CsrGraph::live_col`]) costs `O(column degree)` instead of a gather
+//! over every left row.
 //!
 //! Conversions are lossless in both directions up to edge *order*: a round
 //! trip through [`CsrGraph`] yields the same edge set with bit-identical
@@ -45,7 +52,12 @@ use crate::graph::{Edge, SimilarityGraph};
 /// assert_eq!(rights, &[1, 2], "rows are sorted by right id");
 /// assert_eq!(weights, &[0.4, 0.9]);
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+///
+/// Equality is defined by the row state alone (dimensions, row slabs,
+/// tombstones, patch): the column index is derived from the rows, and
+/// two stores with equal rows answer every read alike however their
+/// column indexes were reached.
+#[derive(Debug, Clone)]
 pub struct CsrGraph {
     n_left: u32,
     n_right: u32,
@@ -72,12 +84,64 @@ pub struct CsrGraph {
     /// Live edge count: slab entries minus tombstone-masked ones, plus
     /// the patch.
     live: usize,
+    /// `col_offsets[r]..col_offsets[r + 1]` bounds column `r` in
+    /// `col_lefts`; one entry per right id plus one.
+    col_offsets: Vec<usize>,
+    /// Left ids of each column's edges, ascending within each column —
+    /// the transpose of the row slab at the last fold, plus the whole
+    /// columns appended by right-side inserts since. Entries of dead ids
+    /// stay in place and are masked on read, as in the row slab.
+    col_lefts: Vec<u32>,
+    /// Column overflow from left-side inserts, as `(right, left)` sorted
+    /// ascending: the mirror of `patch`. Left ids are never reused, so
+    /// every patch entry of a column carries a left id strictly greater
+    /// than all of that column's slab entries, and chaining slab column
+    /// then patch column yields the column in ascending left order.
+    col_patch: Vec<(u32, u32)>,
+}
+
+impl PartialEq for CsrGraph {
+    fn eq(&self, other: &Self) -> bool {
+        self.n_left == other.n_left
+            && self.n_right == other.n_right
+            && self.offsets == other.offsets
+            && self.rights == other.rights
+            && self.weights == other.weights
+            && self.dead_left == other.dead_left
+            && self.dead_right == other.dead_right
+            && self.patch == other.patch
+            && self.live == other.live
+    }
+}
+
+/// The column index of a row slab: per right id, the left ids of its
+/// entries. A counting sort over the right ids; rows are visited in
+/// ascending left order, so every column fills ascending.
+fn transpose(n_right: u32, offsets: &[usize], rights: &[u32]) -> (Vec<usize>, Vec<u32>) {
+    let n = n_right as usize;
+    let mut col_offsets = vec![0usize; n + 1];
+    for &r in rights {
+        col_offsets[r as usize + 1] += 1;
+    }
+    for r in 0..n {
+        col_offsets[r + 1] += col_offsets[r];
+    }
+    let mut cursor = col_offsets[..n].to_vec();
+    let mut col_lefts = vec![0u32; rights.len()];
+    for (l, row) in offsets.windows(2).enumerate() {
+        for &r in &rights[row[0]..row[1]] {
+            col_lefts[cursor[r as usize]] = l as u32;
+            cursor[r as usize] += 1;
+        }
+    }
+    (col_offsets, col_lefts)
 }
 
 impl CsrGraph {
     /// Convert a [`SimilarityGraph`] into CSR form — `O(m log d)` for
     /// maximum row degree `d` (counting sort into rows, then a per-row
-    /// sort by right id).
+    /// sort by right id, then an `O(m + n_right)` transpose for the
+    /// column index).
     ///
     /// ```
     /// use er_core::{CsrGraph, Edge, SimilarityGraph};
@@ -91,16 +155,21 @@ impl CsrGraph {
         for i in 0..n {
             cells[offsets[i]..offsets[i + 1]].sort_unstable_by_key(|&(r, _)| r);
         }
+        let rights: Vec<u32> = cells.iter().map(|&(r, _)| r).collect();
+        let (col_offsets, col_lefts) = transpose(g.n_right(), &offsets, &rights);
         CsrGraph {
             n_left: g.n_left(),
             n_right: g.n_right(),
             offsets,
-            rights: cells.iter().map(|&(r, _)| r).collect(),
+            rights,
             weights: cells.iter().map(|&(_, w)| w).collect(),
             dead_left: Vec::new(),
             dead_right: Vec::new(),
             live: cells.len(),
             patch: Vec::new(),
+            col_offsets,
+            col_lefts,
+            col_patch: Vec::new(),
         }
     }
 
@@ -228,6 +297,14 @@ impl CsrGraph {
         if left >= self.n_left || !self.is_live_left(left) || !self.is_live_right(right) {
             return None;
         }
+        self.stored_weight(left, right)
+    }
+
+    /// The weight of `(left, right)` in row `left`'s slab or patch, with
+    /// no tombstone check: one binary search in the slab row, then one in
+    /// the patch row.
+    #[inline]
+    fn stored_weight(&self, left: u32, right: u32) -> Option<f64> {
         let (rights, weights) = self.row(left);
         if let Ok(i) = rights.binary_search(&right) {
             return Some(weights[i]);
@@ -254,28 +331,30 @@ impl CsrGraph {
         (0..self.n_left).flat_map(move |l| self.live_row(l).map(move |(r, w)| Edge::new(l, r, w)))
     }
 
-    /// Total heap bytes of the three slabs — the store's resident size,
-    /// handy for the scalability experiment's memory reporting.
+    /// Total heap bytes of the row slabs, the column index, the tombstone
+    /// lists and both patches — the store's resident size, handy for the
+    /// scalability experiment's memory reporting.
     ///
     /// ```
     /// # use er_core::{CsrGraph, GraphBuilder};
     /// let csr = CsrGraph::from_graph(&GraphBuilder::new(1, 1).build());
-    /// assert_eq!(csr.slab_bytes(), 2 * 8); // two offsets, no edges
+    /// assert_eq!(csr.slab_bytes(), 2 * 8 + 2 * 8); // row and column offsets, no edges
     /// ```
     pub fn slab_bytes(&self) -> usize {
-        self.offsets.len() * std::mem::size_of::<usize>()
-            + self.rights.len() * std::mem::size_of::<u32>()
+        (self.offsets.len() + self.col_offsets.len()) * std::mem::size_of::<usize>()
+            + (self.rights.len() + self.col_lefts.len()) * std::mem::size_of::<u32>()
             + self.weights.len() * std::mem::size_of::<f64>()
             + (self.dead_left.len() + self.dead_right.len()) * std::mem::size_of::<u32>()
             + self.patch.len() * std::mem::size_of::<Edge>()
+            + self.col_patch.len() * std::mem::size_of::<(u32, u32)>()
     }
 
     /// Assemble a store directly from validated parts — the loader-side
     /// twin of the columnar on-disk format (`store` module), which
     /// guarantees the invariants (`offsets` monotone over `rights`/
     /// `weights`, rows right-ascending, tombstone lists sorted, `live`
-    /// consistent) before calling. The patch starts empty: a loaded store
-    /// is always in folded form.
+    /// consistent) before calling. The patches start empty: a loaded store
+    /// is always in folded form; the column index is the slab's transpose.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn from_raw_parts(
         n_left: u32,
@@ -287,6 +366,7 @@ impl CsrGraph {
         dead_right: Vec<u32>,
         live: usize,
     ) -> Self {
+        let (col_offsets, col_lefts) = transpose(n_right, &offsets, &rights);
         CsrGraph {
             n_left,
             n_right,
@@ -297,6 +377,9 @@ impl CsrGraph {
             dead_right,
             patch: Vec::new(),
             live,
+            col_offsets,
+            col_lefts,
+            col_patch: Vec::new(),
         }
     }
 
@@ -304,7 +387,8 @@ impl CsrGraph {
     // Delta support: append/tombstone rows without rebuilding the slabs.
     // ------------------------------------------------------------------
 
-    /// Whether no deltas are pending: no tombstones, no patch edges. On a
+    /// Whether no row deltas are pending: no tombstones, no patch edges
+    /// (left inserts append to the slab and keep a store pristine). On a
     /// pristine store [`row`](Self::row) is exactly the live row.
     #[inline]
     pub fn is_pristine(&self) -> bool {
@@ -381,11 +465,19 @@ impl CsrGraph {
         &self.patch[s..e]
     }
 
+    /// The column-patch entries of column `right` (left-ascending).
+    #[inline]
+    fn col_patch_of(&self, right: u32) -> &[(u32, u32)] {
+        let s = self.col_patch.partition_point(|&(r, _)| r < right);
+        let e = self.col_patch[s..].partition_point(|&(r, _)| r <= right) + s;
+        &self.col_patch[s..e]
+    }
+
     /// Row `left`'s **live** edges as `(right, weight)` pairs, right ids
     /// ascending: tombstoned rows yield nothing, tombstone-masked slab
     /// entries are skipped, right-insert patch edges are appended (their
     /// right ids are provably larger than the row's slab ids, so the
-    /// chain stays sorted). Panics if `left` is out of bounds.
+    /// chain stays sorted). Out-of-bounds ids yield nothing.
     ///
     /// ```
     /// # use er_core::{CsrGraph, GraphBuilder};
@@ -410,6 +502,43 @@ impl CsrGraph {
             .map(|(&r, &w)| (r, w))
             .filter(move |&(r, _)| self.dead_right.binary_search(&r).is_err())
             .chain(patch.iter().map(|e| (e.right, e.weight)))
+    }
+
+    /// Column `right`'s **live** edges as `(left, weight)` pairs, left ids
+    /// ascending — the right-side twin of [`live_row`](Self::live_row),
+    /// read off the column index: tombstoned and out-of-bounds columns
+    /// yield nothing, entries of tombstoned left rows are skipped, and
+    /// left-insert patch entries are appended (their left ids are
+    /// provably larger than the column's slab ids). Weights come from the
+    /// rows, so they are the row reads' bits. `O(c · log d)` for column
+    /// degree `c` and row degree `d`.
+    ///
+    /// ```
+    /// # use er_core::{CsrGraph, GraphBuilder};
+    /// let mut b = GraphBuilder::new(2, 1);
+    /// b.add_edge(1, 0, 0.4).unwrap();
+    /// let mut csr = CsrGraph::from_graph(&b.build());
+    /// csr.insert_left(&[(0, 0.8)]).unwrap();
+    /// let col: Vec<(u32, f64)> = csr.live_col(0).collect();
+    /// assert_eq!(col, vec![(1, 0.4), (2, 0.8)]);
+    /// ```
+    pub fn live_col(&self, right: u32) -> impl Iterator<Item = (u32, f64)> + '_ {
+        let live = self.is_live_right(right);
+        let (s, e) = if live {
+            (
+                self.col_offsets[right as usize],
+                self.col_offsets[right as usize + 1],
+            )
+        } else {
+            (0, 0)
+        };
+        let patch = if live { self.col_patch_of(right) } else { &[] };
+        self.col_lefts[s..e]
+            .iter()
+            .copied()
+            .chain(patch.iter().map(|&(_, l)| l))
+            .filter(move |l| self.dead_left.binary_search(l).is_err())
+            .filter_map(move |l| self.stored_weight(l, right).map(|w| (l, w)))
     }
 
     /// Validate the edge list of an insert on side `inserting`: the
@@ -452,8 +581,9 @@ impl CsrGraph {
 
     /// Append a new left row with its `(right, weight)` edges and return
     /// its id (`n_left` before the call). A true slab append — `O(d log d)`
-    /// for the new row alone, no rebuild. Ids are never reused, so the
-    /// new id is fresh even after deletions.
+    /// for the new row alone, no rebuild — plus one merge of the new
+    /// entries into the column patch (the column slab is frozen). Ids are
+    /// never reused, so the new id is fresh even after deletions.
     ///
     /// ```
     /// # use er_core::{CsrGraph, GraphBuilder};
@@ -470,13 +600,27 @@ impl CsrGraph {
         self.offsets.push(self.rights.len());
         self.n_left += 1;
         self.live += sorted.len();
+        // Merge the new entries in from the back, in place: each carries
+        // the maximal left id, so it goes after every entry of its column,
+        // and every older entry moves at most once.
+        let mut end = self.col_patch.len();
+        self.col_patch.resize(end + sorted.len(), (0, 0));
+        let mut to = self.col_patch.len();
+        for &(r, _) in sorted.iter().rev() {
+            let at = self.col_patch[..end].partition_point(|&(pr, _)| pr <= r);
+            self.col_patch.copy_within(at..end, to - (end - at));
+            to -= end - at + 1;
+            self.col_patch[to] = (r, id);
+            end = at;
+        }
         Ok(id)
     }
 
     /// Add a new right column with its `(left, weight)` edges and return
     /// its id (`n_right` before the call). The edges land in the patch
     /// (the slab's rows are frozen); [`compact`](Self::compact) folds
-    /// them in.
+    /// them in. The column index takes the new column as a true slab
+    /// append, the mirror of [`insert_left`](Self::insert_left).
     ///
     /// ```
     /// # use er_core::{CsrGraph, GraphBuilder};
@@ -490,6 +634,8 @@ impl CsrGraph {
         let id = self.n_right;
         self.n_right += 1;
         self.live += sorted.len();
+        self.col_lefts.extend(sorted.iter().map(|&(l, _)| l));
+        self.col_offsets.push(self.col_lefts.len());
         self.patch
             .extend(sorted.iter().map(|&(l, w)| Edge::new(l, id, w)));
         // Restore (left, right) order. The new edges all carry the
@@ -537,8 +683,19 @@ impl CsrGraph {
     /// Tombstone right column `right` and return its live
     /// `(left, weight)` edges at removal time, left ids ascending —
     /// exactly the edge list a [`RowDelta::delete_right`] should carry.
-    /// `O(n_left · log d)` (one binary search per live row) plus one
-    /// patch pass. Errors on out-of-bounds or already-dead ids.
+    /// One [`live_col`](Self::live_col) read, `O(c · log d)` for column
+    /// degree `c`, plus one patch search per removed edge. Errors on
+    /// out-of-bounds or already-dead ids.
+    ///
+    /// ```
+    /// # use er_core::{CsrGraph, GraphBuilder};
+    /// let mut b = GraphBuilder::new(3, 2);
+    /// b.add_edge(2, 1, 0.6).unwrap();
+    /// b.add_edge(0, 1, 0.3).unwrap();
+    /// let mut csr = CsrGraph::from_graph(&b.build());
+    /// assert_eq!(csr.remove_right(1).unwrap(), vec![(0, 0.3), (2, 0.6)]);
+    /// assert!(!csr.is_live_right(1));
+    /// ```
     pub fn remove_right(&mut self, right: u32) -> Result<Vec<(u32, f64)>> {
         if right >= self.n_right {
             return Err(CoreError::NodeOutOfBounds {
@@ -553,21 +710,15 @@ impl CsrGraph {
                 id: right,
             });
         }
-        let mut removed = Vec::new();
-        for l in 0..self.n_left {
-            if self.dead_left.binary_search(&l).is_ok() {
-                continue;
-            }
-            let (rights, weights) = self.row(l);
-            if let Ok(i) = rights.binary_search(&right) {
-                removed.push((l, weights[i]));
+        let removed: Vec<(u32, f64)> = self.live_col(right).collect();
+        // Patch edges of the column are removed eagerly (live rows chain
+        // their patch unfiltered); slab entries are masked on read.
+        for &(l, _) in &removed {
+            let key = (l, right);
+            if let Ok(i) = self.patch.binary_search_by_key(&key, |e| (e.left, e.right)) {
+                self.patch.remove(i);
             }
         }
-        for e in self.patch.iter().filter(|e| e.right == right) {
-            removed.push((e.left, e.weight));
-        }
-        removed.sort_unstable_by_key(|&(l, _)| l);
-        self.patch.retain(|e| e.right != right);
         let at = self.dead_right.partition_point(|&d| d < right);
         self.dead_right.insert(at, right);
         self.live -= removed.len();
@@ -614,9 +765,10 @@ impl CsrGraph {
     }
 
     /// Fold pending deltas into the slabs: drop tombstone-masked entries,
-    /// merge the patch into its rows, clear the patch. Tombstoned **ids**
+    /// merge the patch into its rows, clear both patches and rebuild the
+    /// column index as the folded rows' transpose. Tombstoned **ids**
     /// stay dead forever (liveness queries are unaffected); only their
-    /// storage is reclaimed. `O(m)`.
+    /// storage is reclaimed. `O(m + n_left + n_right)`.
     ///
     /// ```
     /// # use er_core::{CsrGraph, GraphBuilder};
@@ -626,7 +778,7 @@ impl CsrGraph {
     /// assert_eq!(csr.row(0).0, &[1], "patch folded into the slab");
     /// ```
     pub fn compact(&mut self) {
-        if self.is_pristine() {
+        if self.is_pristine() && self.col_patch.is_empty() {
             return;
         }
         let n = self.n_left as usize;
@@ -642,10 +794,14 @@ impl CsrGraph {
             offsets.push(rights.len());
         }
         debug_assert_eq!(rights.len(), self.live);
+        let (col_offsets, col_lefts) = transpose(self.n_right, &offsets, &rights);
         self.offsets = offsets;
         self.rights = rights;
         self.weights = weights;
         self.patch.clear();
+        self.col_offsets = col_offsets;
+        self.col_lefts = col_lefts;
+        self.col_patch.clear();
     }
 }
 
@@ -742,7 +898,8 @@ mod tests {
     #[test]
     fn slab_bytes_counts_all_slabs() {
         let csr = CsrGraph::from_graph(&sample());
-        assert_eq!(csr.slab_bytes(), 4 * 8 + 5 * 4 + 5 * 8);
+        // Rows: 4 offsets, 5 ids, 5 weights; columns: 5 offsets, 5 ids.
+        assert_eq!(csr.slab_bytes(), 4 * 8 + 5 * 4 + 5 * 8 + 5 * 8 + 5 * 4);
     }
 
     // ----------------------------------------------------------------
@@ -807,6 +964,27 @@ mod tests {
         assert_eq!(removed, vec![(1, 0.3)], "patch-only column removal");
         assert_eq!(csr.n_edges(), 3);
         assert!(csr.remove_right(4).is_err());
+    }
+
+    #[test]
+    fn live_col_reads_slab_appended_and_patch_columns() {
+        let mut csr = CsrGraph::from_graph(&sample());
+        let col = |csr: &CsrGraph, r: u32| csr.live_col(r).collect::<Vec<_>>();
+        assert_eq!(col(&csr, 1), vec![(0, 0.5), (2, 0.1)]);
+        assert_eq!(col(&csr, 9), vec![], "out of bounds reads empty");
+        let l = csr.insert_left(&[(1, 0.3), (3, 0.2)]).unwrap(); // left 3
+        assert_eq!(col(&csr, 1), vec![(0, 0.5), (2, 0.1), (l, 0.3)]);
+        let r = csr.insert_right(&[(2, 0.6), (0, 0.4)]).unwrap(); // right 4
+        assert_eq!(col(&csr, r), vec![(0, 0.4), (2, 0.6)]);
+        csr.remove_left(2).unwrap();
+        assert_eq!(col(&csr, 1), vec![(0, 0.5), (l, 0.3)]);
+        assert_eq!(col(&csr, r), vec![(0, 0.4)]);
+        csr.remove_right(3).unwrap();
+        assert_eq!(col(&csr, 3), vec![], "tombstoned column reads empty");
+        let before: Vec<_> = (0..csr.n_right()).map(|r| col(&csr, r)).collect();
+        csr.compact();
+        let after: Vec<_> = (0..csr.n_right()).map(|r| col(&csr, r)).collect();
+        assert_eq!(before, after, "compaction preserves column reads");
     }
 
     #[test]

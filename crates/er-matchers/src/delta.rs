@@ -65,6 +65,39 @@ pub trait DeltaMatcher: Send + Sync {
 
     /// The current assignment.
     fn matching(&mut self) -> Matching;
+
+    /// The record `id` on `side` is matched to in the current assignment
+    /// — a point read of [`matching`](DeltaMatcher::matching) that never
+    /// materializes the whole matching. Unknown and unmatched ids read
+    /// `None`.
+    fn partner(&mut self, side: Side, id: u32) -> Option<u32>;
+}
+
+/// A memoized matching plus a right-side index, so that partner reads
+/// on either side are one binary search and never clone the matching.
+struct Memo {
+    /// Pairs sorted by `(left, right)`.
+    matching: Matching,
+    /// The same pairs as `(right, left)`, sorted.
+    by_right: Vec<(u32, u32)>,
+}
+
+impl Memo {
+    fn new(matching: Matching) -> Self {
+        let mut by_right: Vec<(u32, u32)> = matching.iter().map(|(l, r)| (r, l)).collect();
+        by_right.sort_unstable();
+        Memo { matching, by_right }
+    }
+
+    fn partner(&self, side: Side, id: u32) -> Option<u32> {
+        let pairs = match side {
+            Side::Left => self.matching.pairs(),
+            Side::Right => &self.by_right,
+        };
+        // Unique mapping: `id` heads at most one pair.
+        let i = pairs.partition_point(|&(a, _)| a < id);
+        pairs.get(i).filter(|&&(a, _)| a == id).map(|&(_, b)| b)
+    }
 }
 
 /// The global greedy key of edge `(l, r, w)`; [`edge_key_desc`]'s
@@ -366,6 +399,15 @@ impl DeltaMatcher for UmcDelta {
                 .collect(),
         )
     }
+
+    /// `O(1)`: one read of the match arrays the cascade maintains.
+    fn partner(&mut self, side: Side, id: u32) -> Option<u32> {
+        let slot = match side {
+            Side::Left => self.match_left.get(id as usize),
+            Side::Right => self.match_right.get(id as usize),
+        };
+        slot.copied().flatten().map(|(other, _)| other)
+    }
 }
 
 // ----------------------------------------------------------------------
@@ -388,7 +430,7 @@ pub struct BahDelta {
     n_right: u32,
     d: FxHashMap<(u32, u32), f64>,
     config: BahConfig,
-    cached: Option<Matching>,
+    cached: Option<Memo>,
 }
 
 impl BahDelta {
@@ -418,6 +460,15 @@ impl BahDelta {
     /// Build from a CSR store's live edges.
     pub fn from_csr(csr: &CsrGraph, t: f64, config: BahConfig) -> Self {
         Self::new(csr.n_left(), csr.n_right(), csr.iter(), t, config)
+    }
+
+    /// The memoized search result, re-running the search if a delta
+    /// invalidated it.
+    fn memo(&mut self) -> &Memo {
+        let (n_left, n_right, config) = (self.n_left, self.n_right, self.config);
+        let d = &self.d;
+        self.cached
+            .get_or_insert_with(|| Memo::new(search(n_left, n_right, d, config)))
     }
 
     /// Swap every key if the driver orientation flipped.
@@ -486,10 +537,11 @@ impl DeltaMatcher for BahDelta {
     }
 
     fn matching(&mut self) -> Matching {
-        if self.cached.is_none() {
-            self.cached = Some(search(self.n_left, self.n_right, &self.d, self.config));
-        }
-        self.cached.clone().expect("just computed")
+        self.memo().matching.clone()
+    }
+
+    fn partner(&mut self, side: Side, id: u32) -> Option<u32> {
+        self.memo().partner(side, id)
     }
 }
 
@@ -511,7 +563,7 @@ pub struct ReplayDelta {
     t: f64,
     csr: CsrGraph,
     matcher: Box<dyn Matcher>,
-    cached: Option<Matching>,
+    cached: Option<Memo>,
 }
 
 impl ReplayDelta {
@@ -524,6 +576,14 @@ impl ReplayDelta {
             matcher,
             cached: None,
         }
+    }
+
+    /// The memoized re-match, re-running the matcher over the live edges
+    /// if a delta invalidated it.
+    fn memo(&mut self) -> &Memo {
+        let (csr, matcher, t) = (&self.csr, &self.matcher, self.t);
+        self.cached
+            .get_or_insert_with(|| Memo::new(matcher.run(&PreparedGraph::from_csr(csr), t)))
     }
 }
 
@@ -547,11 +607,11 @@ impl DeltaMatcher for ReplayDelta {
     }
 
     fn matching(&mut self) -> Matching {
-        if self.cached.is_none() {
-            let prepared = PreparedGraph::from_csr(&self.csr);
-            self.cached = Some(self.matcher.run(&prepared, self.t));
-        }
-        self.cached.clone().expect("just computed")
+        self.memo().matching.clone()
+    }
+
+    fn partner(&mut self, side: Side, id: u32) -> Option<u32> {
+        self.memo().partner(side, id)
     }
 }
 

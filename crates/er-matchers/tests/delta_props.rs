@@ -5,10 +5,12 @@
 //! leaves its [`DeltaMatcher::matching`] equal to a from-scratch
 //! [`Matcher::run`] on the mutated store — after **every** step, not just
 //! at the end. UMC exercises the cascade repair, BAH the contribution-map
-//! maintenance, and the other six the windowed replay fallback.
+//! maintenance, and the other six the windowed replay fallback. The point
+//! read [`DeltaMatcher::partner`] equals a lookup in the full matching
+//! for every id on both sides.
 
-use er_core::{CsrGraph, GraphBuilder, RowDelta, SimilarityGraph};
-use er_matchers::{AlgorithmConfig, AlgorithmKind, PreparedGraph};
+use er_core::{CsrGraph, GraphBuilder, RowDelta, Side, SimilarityGraph};
+use er_matchers::{AlgorithmConfig, AlgorithmKind, DeltaMatcher, PreparedGraph};
 use proptest::prelude::*;
 
 /// A random bipartite graph with up to 10x10 nodes, weights on the 0.05
@@ -98,6 +100,26 @@ fn materialize(csr: &mut CsrGraph, sel: u8, raw: &[(u16, u8)]) -> Option<RowDelt
     }
 }
 
+/// Check `partner` against a scan of `matching()` for every id on both
+/// sides of a `n_left x n_right` id space, two unknown ids included. The
+/// partners are read first, so a memo a delta invalidated is rebuilt by
+/// `partner` itself.
+fn assert_partners_match(dm: &mut dyn DeltaMatcher, n_left: u32, n_right: u32) {
+    let lefts: Vec<Option<u32>> = (0..n_left + 2).map(|l| dm.partner(Side::Left, l)).collect();
+    let rights: Vec<Option<u32>> = (0..n_right + 2)
+        .map(|r| dm.partner(Side::Right, r))
+        .collect();
+    let m = dm.matching();
+    for (l, got) in (0..).zip(lefts) {
+        let want = m.iter().find(|&(a, _)| a == l).map(|(_, b)| b);
+        assert_eq!(got, want, "{} partner(Left, {l})", dm.name());
+    }
+    for (r, got) in (0..).zip(rights) {
+        let want = m.iter().find(|&(_, b)| b == r).map(|(a, _)| a);
+        assert_eq!(got, want, "{} partner(Right, {r})", dm.name());
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -125,6 +147,29 @@ proptest! {
                     "{} diverged after {:?} on ({:?}, {})",
                     kind, delta.op, delta.side, delta.id
                 );
+            }
+        }
+    }
+
+    /// `partner` is a point read of the matching: it equals a lookup in
+    /// `matching()` for every id on both sides, before any delta and
+    /// after each one, for all eight algorithms.
+    #[test]
+    fn partner_equals_a_matching_lookup_for_all_eight(
+        g in arb_graph(),
+        t in (0u32..=20).prop_map(|i| i as f64 * 0.05),
+        ops in arb_ops(),
+    ) {
+        let seed = CsrGraph::from_graph(&g);
+        let cfg = AlgorithmConfig::default();
+        for kind in AlgorithmKind::ALL {
+            let mut csr = seed.clone();
+            let mut dm = cfg.delta_matcher(kind, &csr, t);
+            assert_partners_match(dm.as_mut(), csr.n_left(), csr.n_right());
+            for (sel, raw) in &ops {
+                let Some(delta) = materialize(&mut csr, *sel, raw) else { continue };
+                dm.apply_delta(&delta);
+                assert_partners_match(dm.as_mut(), csr.n_left(), csr.n_right());
             }
         }
     }

@@ -6,14 +6,15 @@
 //! exits. [`ErService`] instead keeps everything **resident** and answers
 //! point traffic:
 //!
-//! * the scored similarity graph, in its delta-capable CSR form
-//!   ([`er_core::CsrGraph`]: append-only ids, tombstoned deletes,
-//!   ~12 B/edge);
+//! * the scored similarity graph, in its delta-capable two-way CSR form
+//!   ([`er_core::CsrGraph`]: append-only ids, tombstoned deletes, rows
+//!   plus a column index, ~16 B/edge), so point reads on either side
+//!   cost the node's degree;
 //! * the score-side state of the similarity function
-//!   ([`er_pipeline::ResidentScorer`]: frozen models, DF statistics and
-//!   the PR 6 candidate indexes), so one new record is scored against the
-//!   corpus through index-pruned probes under its top-k admission bound
-//!   rather than by re-preparing the build;
+//!   ([`er_pipeline::ResidentScorer`]: frozen models, DF statistics, the
+//!   candidate indexes and the packed profiles), so one new record is
+//!   scored against the corpus through index-pruned probes under its
+//!   top-k admission bound rather than by re-preparing the build;
 //! * a **delta-incremental matcher**
 //!   ([`er_matchers::DeltaMatcher`]: UMC repairs its greedy assignment
 //!   along a bounded cascade, BAH maintains its contribution map, the
@@ -307,32 +308,29 @@ impl ErService {
     }
 
     /// Point query: the live graph neighbors of `id` on `side`, weight
-    /// descending. Left rows read straight off the CSR row (`O(degree)`);
-    /// right nodes gather across rows (`O(n_left log degree)` — the store
-    /// is row-major by design, see `ARCHITECTURE.md`).
+    /// descending (ties by id ascending). The store is two-way, so both
+    /// sides cost the same: left ids read their CSR row
+    /// ([`CsrGraph::live_row`]), right ids their column
+    /// ([`CsrGraph::live_col`], one row lookup per entry for the weight)
+    /// — `O(d log d)` for degree `d`, with a tombstone check per entry.
+    /// Unknown and tombstoned ids read empty.
     pub fn neighbors(&self, side: Side, id: u32) -> Vec<(u32, f64)> {
-        if !self.is_live(side, id) {
-            return Vec::new();
-        }
         let mut out: Vec<(u32, f64)> = match side {
             Side::Left => self.csr.live_row(id).collect(),
-            Side::Right => (0..self.csr.n_left())
-                .filter(|&l| self.csr.is_live_left(l))
-                .filter_map(|l| self.csr.weight_of(l, id).map(|w| (l, w)))
-                .collect(),
+            Side::Right => self.csr.live_col(id).collect(),
         };
         out.sort_by(|a, b| er_core::total_cmp_desc(&a.1, &b.1).then(a.0.cmp(&b.0)));
         out
     }
 
     /// Point query: the record `id` on `side` is currently matched to,
-    /// under the service's algorithm and threshold.
+    /// under the service's algorithm and threshold — read from the delta
+    /// matcher's own state ([`DeltaMatcher::partner`]), never by building
+    /// the whole matching. `O(1)` for UMC (its match arrays); one binary
+    /// search in the memoized matching for BAH and the replay algorithms,
+    /// after a re-match when a delta invalidated the memo.
     pub fn match_of(&mut self, side: Side, id: u32) -> Option<u32> {
-        let m = self.matcher.matching();
-        match side {
-            Side::Left => m.iter().find(|&(l, _)| l == id).map(|(_, r)| r),
-            Side::Right => m.iter().find(|&(_, r)| r == id).map(|(l, _)| l),
-        }
+        self.matcher.partner(side, id)
     }
 
     /// The full current matching (incrementally maintained).
@@ -368,13 +366,10 @@ impl ErService {
     }
 
     /// The resident profile for `id` on `side` (tombstoned included —
-    /// callers gate on [`is_live`](Self::is_live) where it matters).
-    pub fn profile(&self, side: Side, id: u32) -> Option<&EntityProfile> {
-        let c = match side {
-            Side::Left => self.scorer.left(),
-            Side::Right => self.scorer.right(),
-        };
-        c.profiles.get(id as usize)
+    /// callers gate on [`is_live`](Self::is_live) where it matters),
+    /// rebuilt from the scorer's packed profile store.
+    pub fn profile(&self, side: Side, id: u32) -> Option<EntityProfile> {
+        self.scorer.profile(side, id)
     }
 
     /// Fold pending deltas into the store slabs (`O(m)`); liveness and

@@ -1,9 +1,10 @@
 //! Property tests for [`er_service::ErService`]: under arbitrary
 //! insert/delete traffic the incrementally-maintained matching stays
 //! equal to a from-scratch re-match on the resident store, and the point
-//! queries stay consistent with the store.
+//! queries equal their naive references exactly: `neighbors` the gather
+//! over the store's rows, `match_of` a lookup in the full matching.
 
-use er_core::Side;
+use er_core::{total_cmp_desc, Side};
 use er_matchers::AlgorithmKind;
 use er_pipeline::SimilarityFunction;
 use er_service::{ErService, ServiceConfig};
@@ -62,6 +63,37 @@ fn step(s: &mut ErService, sel: u8, pick: u16) {
     }
 }
 
+/// The naive reference for `neighbors(Right, right)`: gather the column
+/// across every live row, then order weight descending, ids ascending.
+/// Weights as bits, so equality is bit for bit.
+fn gathered_column(s: &ErService, right: u32) -> Vec<(u32, u64)> {
+    let csr = s.store();
+    let mut out: Vec<(u32, f64)> = (0..csr.n_left())
+        .flat_map(|l| {
+            csr.live_row(l)
+                .filter(move |&(r, _)| r == right)
+                .map(move |(_, w)| (l, w))
+        })
+        .collect();
+    out.sort_by(|a, b| total_cmp_desc(&a.1, &b.1).then(a.0.cmp(&b.0)));
+    out.into_iter().map(|(l, w)| (l, w.to_bits())).collect()
+}
+
+/// The naive reference for `match_of(side, id)`: a scan of the full
+/// matching.
+fn looked_up(s: &mut ErService, side: Side, id: u32) -> Option<u32> {
+    let m = s.matching();
+    match side {
+        Side::Left => m.iter().find(|&(l, _)| l == id).map(|(_, r)| r),
+        Side::Right => m.iter().find(|&(_, r)| r == id).map(|(l, _)| l),
+    }
+}
+
+/// The algorithms the point-query properties cover: the cascade repair,
+/// the contribution-map search, and one replay algorithm.
+const POINT_QUERY_KINDS: [AlgorithmKind; 3] =
+    [AlgorithmKind::Umc, AlgorithmKind::Bah, AlgorithmKind::Krc];
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -93,11 +125,16 @@ proptest! {
         prop_assert_eq!(s.matching(), s.full_rematch());
     }
 
-    /// Point queries agree with the store after traffic: every neighbor
-    /// edge is live on both endpoints and symmetric across sides.
+    /// Neighbor reads equal the store after traffic: every left neighbor
+    /// edge is live on both endpoints and shows up in its column, and
+    /// every column — tombstoned and unknown ids included — equals the
+    /// naive gather across rows, in order and bit for bit.
     #[test]
-    fn neighbors_stay_consistent(ops in proptest::collection::vec((0u8..8, 0u16..512), 1..8)) {
-        let mut s = boot(AlgorithmKind::Umc, 0.3);
+    fn neighbors_stay_consistent(
+        kind in 0usize..3,
+        ops in proptest::collection::vec((0u8..8, 0u16..512), 1..8),
+    ) {
+        let mut s = boot(POINT_QUERY_KINDS[kind], 0.3);
         for (sel, pick) in ops {
             step(&mut s, sel, pick);
         }
@@ -105,6 +142,34 @@ proptest! {
             for (r, w) in s.neighbors(Side::Left, l) {
                 prop_assert!(s.is_live(Side::Right, r));
                 prop_assert!(s.neighbors(Side::Right, r).contains(&(l, w)));
+            }
+        }
+        for r in 0..s.n_right() + 2 {
+            let got: Vec<(u32, u64)> = s
+                .neighbors(Side::Right, r)
+                .into_iter()
+                .map(|(l, w)| (l, w.to_bits()))
+                .collect();
+            prop_assert_eq!(got, gathered_column(&s, r), "neighbors(Right, {})", r);
+        }
+    }
+
+    /// `match_of` equals a lookup in `matching()` for every id on both
+    /// sides, unknown ids included, after every operation.
+    #[test]
+    fn match_of_equals_a_matching_lookup(
+        kind in 0usize..3,
+        ops in proptest::collection::vec((0u8..8, 0u16..512), 1..6),
+    ) {
+        let mut s = boot(POINT_QUERY_KINDS[kind], 0.3);
+        for (sel, pick) in ops {
+            step(&mut s, sel, pick);
+            for side in [Side::Left, Side::Right] {
+                let n = s.next_id(side);
+                for id in 0..n + 2 {
+                    let want = looked_up(&mut s, side, id);
+                    prop_assert_eq!(s.match_of(side, id), want, "match_of({:?}, {})", side, id);
+                }
             }
         }
     }

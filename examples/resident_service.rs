@@ -98,7 +98,7 @@ fn main() {
         service
             .match_of(Side::Left, new_id)
             .and_then(|r| service.profile(Side::Right, r))
-            .and_then(|p| p.value("title"))
+            .and_then(|p| p.value("title").map(str::to_string))
     );
 
     // 3. A record is withdrawn: its edges disappear and its partner is
@@ -115,7 +115,7 @@ fn main() {
             .unwrap(),
         partner
             .and_then(|r| service.profile(Side::Right, r))
-            .and_then(|p| p.value("title"))
+            .and_then(|p| p.value("title").map(str::to_string))
     );
 
     // 4. The incremental state is exactly the batch answer.
