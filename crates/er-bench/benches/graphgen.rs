@@ -14,8 +14,8 @@ use er_datasets::{Dataset, DatasetId};
 use er_embed::{EmbeddingModel, SemanticMeasure};
 use er_pipeline::blocking::{restrict_graph, token_blocking};
 use er_pipeline::{
-    build_graph, build_graph_restricted, build_graph_topk, KernelMode, PipelineConfig,
-    SemanticScope, SimilarityFunction,
+    build_graph, build_graph_restricted, build_graph_topk, PipelineConfig, SemanticScope,
+    SimilarityFunction,
 };
 use er_textsim::{CharMeasure, NGramScheme, SchemaBasedMeasure, VectorMeasure};
 
@@ -145,50 +145,10 @@ fn bench_topk_path(c: &mut Criterion) {
     group.finish();
 }
 
-/// Scalar vs lane kernels on the two acceptance workloads: the dense
-/// all-pairs edit-distance build (`graphgen_engine/sb/levenshtein`'s
-/// instance) and the D7 streaming top-k cosine build. Bit-identity of the
-/// two modes is property-proven in `er-pipeline/tests/kernel_props.rs`;
-/// this group records what the lanes buy in wall clock. The kernel choice
-/// is thread-independent, so one-thread cases isolate it.
-fn bench_kernel_modes(c: &mut Criterion) {
-    let cfg_of = |kernel: KernelMode| PipelineConfig {
-        threads: 1,
-        kernel_mode: kernel,
-        ..PipelineConfig::default()
-    };
-    let kernels = [("scalar", KernelMode::Scalar), ("lanes", KernelMode::Lanes)];
-
-    let d1 = dataset();
-    let lev = SimilarityFunction::SchemaBasedSyntactic {
-        attribute: "name".into(),
-        measure: SchemaBasedMeasure::Char(CharMeasure::Levenshtein),
-    };
-    let d7 = Dataset::generate(DatasetId::D7, 0.25, 13);
-    let cosine = SimilarityFunction::SchemaAgnosticVector {
-        scheme: NGramScheme::Token(1),
-        measure: VectorMeasure::CosineTfIdf,
-    };
-
-    let mut group = c.benchmark_group("graphgen_kernels");
-    group.sample_size(10);
-    for (name, kernel) in kernels {
-        let cfg = cfg_of(kernel);
-        group.bench_function(format!("sb/levenshtein/dense/{name}"), |b| {
-            b.iter(|| std::hint::black_box(build_graph(&d1, &lev, &cfg).n_edges()))
-        });
-        group.bench_function(format!("d7/sa/vector-cosine-tfidf/topk_k5/{name}"), |b| {
-            b.iter(|| std::hint::black_box(build_graph_topk(&d7, &cosine, 5, &cfg).n_edges()))
-        });
-    }
-    group.finish();
-}
-
 criterion_group!(
     benches,
     bench_parallel_construction,
     bench_restricted_path,
-    bench_topk_path,
-    bench_kernel_modes
+    bench_topk_path
 );
 criterion_main!(benches);

@@ -7,9 +7,8 @@
 //! memory to one dataset's corpus.
 
 use std::path::{Path, PathBuf};
+use std::sync::Mutex;
 use std::time::Duration;
-
-use parking_lot::Mutex;
 
 use er_core::{GraphStats, ThresholdGrid, WeightSeparation};
 use er_datasets::{Dataset, DatasetId, DatasetStats};
@@ -221,19 +220,16 @@ fn evaluate_dataset(
                     break;
                 }
                 let function = functions[idx].clone();
-                // Prepared construction: the sorted edge view is emitted
-                // with the graph and handed to the sweep via from_sorted,
-                // so exactly one view build happens per graph.
-                let built = er_pipeline::build_prepared(dataset, &function, &pipeline_cfg);
-                let graph = built.graph;
-                // Cleaning rule 1: all true matches at zero weight.
+                let graph = er_pipeline::build_graph(dataset, &function, &pipeline_cfg);
+                // Cleaning rule 1: all true matches at zero weight. A
+                // dropped graph never pays for the sorted edge view.
                 let sep = WeightSeparation::of(&graph, &dataset.ground_truth);
                 if sep.all_matches_zero() {
-                    slots.lock()[idx] = Some(None);
+                    slots.lock().expect("poisoned: a scoped worker panicked")[idx] = Some(None);
                     continue;
                 }
                 let stats = GraphStats::of(&graph);
-                let pg = PreparedGraph::from_sorted(&graph, built.sorted);
+                let pg = PreparedGraph::new(&graph);
                 // This loop already fans out across similarity functions, so
                 // the engine runs its units serially (still incremental);
                 // nesting its default thread pool here would oversubscribe.
@@ -266,7 +262,8 @@ fn evaluate_dataset(
                     })
                     .collect();
                 let wt = function.weight_type();
-                slots.lock()[idx] = Some(Some((function, wt, stats, sweeps, timings)));
+                slots.lock().expect("poisoned: a scoped worker panicked")[idx] =
+                    Some(Some((function, wt, stats, sweeps, timings)));
             });
         }
     });
@@ -274,6 +271,7 @@ fn evaluate_dataset(
     let mut dropped = 0usize;
     let evaluated: Vec<Evaluated> = slots
         .into_inner()
+        .expect("poisoned: a scoped worker panicked")
         .into_iter()
         .filter_map(|slot| match slot.expect("slot filled") {
             Some(e) => Some(e),

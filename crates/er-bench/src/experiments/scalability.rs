@@ -45,8 +45,8 @@ use er_eval::report::Table;
 use er_eval::sweep::SweepEngine;
 use er_matchers::{AlgorithmConfig, AlgorithmKind, PreparedGraph};
 use er_pipeline::{
-    build_graph_over, build_graph_sharded, build_graph_topk_mode, build_graph_topk_stats,
-    CandidateMode, PipelineConfig, ShardedConfig, SimilarityFunction,
+    build_graph_over, build_graph_sharded, build_graph_topk_mode, CandidateMode, PipelineConfig,
+    ShardedConfig, SimilarityFunction,
 };
 use er_textsim::{CharMeasure, NGramScheme, SchemaBasedMeasure, VectorMeasure};
 
@@ -120,8 +120,14 @@ pub fn run(seed: u64, smoke: bool) -> (String, BenchData) {
 
             // Streaming top-k: the dense graph never materializes.
             let t0 = Instant::now();
-            let (topk, stats) =
-                build_graph_topk_stats(&dataset.left, &dataset.right, &function, k, &cfg);
+            let (topk, stats) = build_graph_topk_mode(
+                &dataset.left,
+                &dataset.right,
+                &function,
+                k,
+                CandidateMode::Enumerated,
+                &cfg,
+            );
             let topk_ms = t0.elapsed().as_secs_f64() * 1e3;
             bench.push(format!("topk_build_ms_s{scale}_k{k}"), topk_ms, "ms");
             assert_eq!(
@@ -186,8 +192,14 @@ pub fn run(seed: u64, smoke: bool) -> (String, BenchData) {
             let pruned_via_dense = dense.pruned_top_k(k);
             let dense_prune_ms = dense_build + t0.elapsed().as_secs_f64() * 1e3;
             let t0 = Instant::now();
-            let (topk, stats) =
-                build_graph_topk_stats(&dataset.left, &dataset.right, &lev_function, k, &cfg);
+            let (topk, stats) = build_graph_topk_mode(
+                &dataset.left,
+                &dataset.right,
+                &lev_function,
+                k,
+                CandidateMode::Enumerated,
+                &cfg,
+            );
             let topk_ms = t0.elapsed().as_secs_f64() * 1e3;
             assert_eq!(
                 topk.n_edges(),
@@ -214,16 +226,23 @@ pub fn run(seed: u64, smoke: bool) -> (String, BenchData) {
     // Index-driven candidate generation: the same streaming top-k builds,
     // but with candidates produced from per-branch indexes (length
     // buckets + counting filters for edit distances, prefix-filtered
-    // postings for the token measures) instead of enumerating the cross
-    // product. The graphs must be bit-identical; what changes is how many
-    // pairs ever get materialized (`generated`). The asserts double as
-    // the CI degeneracy guard: an indexed build that generates every
-    // cross pair means the index has stopped pruning.
+    // postings for the non-cosine token measures) instead of enumerating
+    // the cross product. The token row runs ARCS: the cosine measures
+    // walk weighted postings in both modes, so their indexed build
+    // generates exactly what enumeration does. The graphs must be
+    // bit-identical; what changes is how many pairs ever get
+    // materialized (`generated`). The asserts double as the CI
+    // degeneracy guard: an indexed build that generates every cross
+    // pair means the index has stopped pruning.
     let idx_scales: &[f64] = if smoke { &[0.05] } else { &[0.1, 0.25] };
     let idx_ks: &[usize] = if smoke { &[3] } else { &[1, 5, 10] };
+    let arcs_function = SimilarityFunction::SchemaAgnosticVector {
+        scheme: NGramScheme::Token(1),
+        measure: VectorMeasure::Arcs,
+    };
     let idx_functions: [(&str, &SimilarityFunction); 2] = [
         ("Levenshtein(name)", &lev_function),
-        ("token TF-IDF cosine", &function),
+        ("token ARCS", &arcs_function),
     ];
     let mut t3 = Table::new(vec![
         "corpus",

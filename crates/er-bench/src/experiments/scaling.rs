@@ -1,23 +1,13 @@
-//! Extension experiment: lane-kernel throughput and multi-core scaling.
+//! Extension experiment: multi-core scaling of construction and sweeps.
 //!
-//! PR 9 added the lane-parallel scoring kernels (`er_textsim::lanes`,
-//! `er_embed::lanes`; DESIGN.md §19) behind `PipelineConfig::kernel_mode`.
-//! This experiment is the measured side of that change, and doubles as the
-//! determinism contract the CI smoke enforces:
+//! The measured side of the parallel engines, and the determinism
+//! contract the CI smoke enforces:
 //!
-//! 1. **Kernel portrait** — the same construction timed under
-//!    [`KernelMode::Scalar`] and [`KernelMode::Lanes`] on one thread, for
-//!    the bound-driven edit-distance branch (schema-based Levenshtein over
-//!    `name`) and the dense semantic branch (schema-agnostic token TF-IDF
-//!    cosine). The graphs are asserted **bit-identical**; only the wall
-//!    clock may differ.
-//! 2. **Construction thread scaling** — the streaming top-k build swept
-//!    over worker counts, under *both* kernel modes at every count. Every
-//!    `(threads, kernel)` cell is asserted bit-identical to the serial
-//!    scalar reference — the full cross-product determinism check the
-//!    graphgen engine promises (chunk merging in row order, no
-//!    accumulation-order dependence).
-//! 3. **Sweep thread scaling** — the 8-algorithm × threshold-grid sweep
+//! 1. **Construction thread scaling** — the streaming top-k build swept
+//!    over worker counts. Every cell is asserted bit-identical to the
+//!    serial build — the determinism check the graphgen engine promises
+//!    (chunk merging in row order, no accumulation-order dependence).
+//! 2. **Sweep thread scaling** — the 8-algorithm × threshold-grid sweep
 //!    over the same worker counts, with every result row (threshold and
 //!    precision/recall/F1 *bits*) asserted equal to the serial sweep.
 //!
@@ -36,9 +26,7 @@ use er_datasets::{Dataset, DatasetId};
 use er_eval::report::Table;
 use er_eval::sweep::{SweepEngine, SweepResult};
 use er_matchers::{AlgorithmConfig, PreparedGraph};
-use er_pipeline::{
-    build_graph_topk_mode, CandidateMode, KernelMode, PipelineConfig, SimilarityFunction,
-};
+use er_pipeline::{build_graph_topk_mode, CandidateMode, PipelineConfig, SimilarityFunction};
 use er_textsim::{CharMeasure, NGramScheme, SchemaBasedMeasure, VectorMeasure};
 
 use crate::records::BenchData;
@@ -47,7 +35,7 @@ use crate::records::BenchData;
 const THREADS_FULL: &[usize] = &[1, 2, 4];
 const THREADS_SMOKE: &[usize] = &[1, 2];
 
-/// Run the kernel/threads scaling portrait on a fresh generated dataset.
+/// Run the threads scaling portrait on a fresh generated dataset.
 ///
 /// `smoke` restricts to a small D7 corpus and two worker counts (the CI
 /// configuration); the full run uses a larger corpus and worker counts
@@ -75,14 +63,16 @@ pub fn run(seed: u64, smoke: bool) -> (String, BenchData) {
         scheme: NGramScheme::Token(1),
         measure: VectorMeasure::CosineTfIdf,
     };
-    // The cosine case runs enumerated on purpose: the indexed prefix-filter
-    // walk re-reads the admission bound after every admission and therefore
-    // stays scalar under `KernelMode::Lanes` (DESIGN.md §19) — enumerated
-    // candidates are where the weighted-postings lane accumulator engages.
-    let functions: [(&str, &SimilarityFunction, CandidateMode); 2] = [
-        ("Levenshtein(name)", &lev_function, CandidateMode::Indexed),
+    let functions: [(&str, &str, &SimilarityFunction, CandidateMode); 2] = [
+        (
+            "Levenshtein(name)",
+            "lev",
+            &lev_function,
+            CandidateMode::Indexed,
+        ),
         (
             "token TF-IDF cosine",
+            "cos",
             &cos_function,
             CandidateMode::Enumerated,
         ),
@@ -91,129 +81,60 @@ pub fn run(seed: u64, smoke: bool) -> (String, BenchData) {
     let dataset = Dataset::generate(DatasetId::D7, scale, seed);
     let corpus = format!("{}x{}", dataset.left.len(), dataset.right.len());
 
-    // ---- Portrait 1: scalar vs lane kernels on one thread. ----
+    // ---- Portrait 1: construction thread scaling. ----
     let mut t1 = Table::new(vec![
         "corpus",
         "function",
         "k",
-        "edges",
-        "scalar ms",
-        "lanes ms",
-        "kernel speedup",
-    ])
-    .with_title(
-        "Extension: lane-kernel throughput (D7, streaming top-k build, \
-         one thread; Levenshtein indexed, cosine enumerated). `scalar ms` \
-         runs the \
-         one-candidate-at-a-time kernels, `lanes ms` the lane-parallel \
-         batch kernels (multi-text Myers, batched bound screens, \
-         lane-parallel dot/cosine); the graphs are asserted \
-         bit-identical, so the speedup is pure kernel throughput.",
-    );
-    // The serial scalar build of each function is the reference every
-    // other (threads, kernel) cell must match bit-for-bit.
-    let mut references: Vec<SimilarityGraph> = Vec::new();
-    for (name, function, mode) in &functions {
-        let scalar_cfg = config(KernelMode::Scalar, 1);
-        let t0 = Instant::now();
-        let (g_scalar, _) = build_graph_topk_mode(
-            &dataset.left,
-            &dataset.right,
-            function,
-            k,
-            *mode,
-            &scalar_cfg,
-        );
-        let scalar_ms = t0.elapsed().as_secs_f64() * 1e3;
-
-        let lanes_cfg = config(KernelMode::Lanes, 1);
-        let t0 = Instant::now();
-        let (g_lanes, _) = build_graph_topk_mode(
-            &dataset.left,
-            &dataset.right,
-            function,
-            k,
-            *mode,
-            &lanes_cfg,
-        );
-        let lanes_ms = t0.elapsed().as_secs_f64() * 1e3;
-
-        assert_eq!(
-            g_scalar.edges(),
-            g_lanes.edges(),
-            "lane kernels must build a bit-identical graph ({name})"
-        );
-        let slug = if name.starts_with("Lev") {
-            "lev"
-        } else {
-            "cos"
-        };
-        bench.push(format!("kernel_scalar_ms_{slug}"), scalar_ms, "ms");
-        bench.push(format!("kernel_lanes_ms_{slug}"), lanes_ms, "ms");
-        bench.push(
-            format!("kernel_speedup_{slug}"),
-            scalar_ms / lanes_ms.max(1e-9),
-            "x",
-        );
-        t1.row(vec![
-            corpus.clone(),
-            name.to_string(),
-            k.to_string(),
-            g_lanes.n_edges().to_string(),
-            format!("{scalar_ms:.0}"),
-            format!("{lanes_ms:.0}"),
-            format!("{:.2}x", scalar_ms / lanes_ms.max(1e-9)),
-        ]);
-        references.push(g_scalar);
-    }
-
-    // ---- Portrait 2: construction thread scaling, both kernels. ----
-    let mut t2 = Table::new(vec![
-        "corpus",
-        "function",
         "threads",
-        "scalar ms",
-        "lanes ms",
+        "build ms",
         "scaling",
         "identical",
     ])
     .with_title(
-        "Extension: construction thread scaling (same builds as above, \
-         worker counts swept). Every (threads, kernel) cell is asserted \
-         bit-identical to the serial scalar reference; `scaling` is the \
-         lanes-kernel speedup over its own one-thread run. On a \
+        "Extension: construction thread scaling (D7, streaming top-k \
+         build; Levenshtein indexed, cosine enumerated). Every worker \
+         count's graph is asserted bit-identical to the serial build; \
+         `scaling` is the speedup over the one-thread run. On a \
          single-core host the curve is flat by construction — the \
          determinism asserts are the point, the slope is the bonus.",
     );
-    for ((name, function, mode), reference) in functions.iter().zip(&references) {
-        let mut lanes_t1_ms = 0.0f64;
-        let mut lanes_best_speedup = 1.0f64;
+    // The serial build of each function is the reference every other
+    // thread count must match bit for bit.
+    let mut references: Vec<SimilarityGraph> = Vec::new();
+    for (name, slug, function, mode) in &functions {
+        let mut reference: Option<SimilarityGraph> = None;
+        let mut t1_ms = 0.0f64;
+        let mut best_speedup = 1.0f64;
         for &t in threads {
-            let mut cell_ms = [0.0f64; 2];
-            for (slot, kernel) in [(0, KernelMode::Scalar), (1, KernelMode::Lanes)] {
-                let cfg = config(kernel, t);
-                let t0 = Instant::now();
-                let (g, _) =
-                    build_graph_topk_mode(&dataset.left, &dataset.right, function, k, *mode, &cfg);
-                cell_ms[slot] = t0.elapsed().as_secs_f64() * 1e3;
-                assert_eq!(
-                    reference.edges(),
+            let cfg = PipelineConfig {
+                threads: t,
+                ..PipelineConfig::default()
+            };
+            let t0 = Instant::now();
+            let (g, _) =
+                build_graph_topk_mode(&dataset.left, &dataset.right, function, k, *mode, &cfg);
+            let ms = t0.elapsed().as_secs_f64() * 1e3;
+            match &reference {
+                None => {
+                    t1_ms = ms;
+                    reference = Some(g);
+                }
+                Some(want) => assert_eq!(
+                    want.edges(),
                     g.edges(),
-                    "thread count {t} under {kernel:?} must build a \
-                     bit-identical graph ({name})"
-                );
+                    "thread count {t} must build a bit-identical graph ({name})"
+                ),
             }
-            if t == 1 {
-                lanes_t1_ms = cell_ms[1];
-            }
-            let scaling = lanes_t1_ms / cell_ms[1].max(1e-9);
-            lanes_best_speedup = lanes_best_speedup.max(scaling);
-            t2.row(vec![
+            let scaling = t1_ms / ms.max(1e-9);
+            best_speedup = best_speedup.max(scaling);
+            bench.push(format!("build_ms_{slug}_t{t}"), ms, "ms");
+            t1.row(vec![
                 corpus.clone(),
                 name.to_string(),
+                k.to_string(),
                 t.to_string(),
-                format!("{:.0}", cell_ms[0]),
-                format!("{:.0}", cell_ms[1]),
+                format!("{ms:.0}"),
                 format!("{scaling:.2}x"),
                 "yes".into(),
             ]);
@@ -222,15 +143,16 @@ pub fn run(seed: u64, smoke: bool) -> (String, BenchData) {
         // exists; the smoke (CI) configuration never asserts them.
         if !smoke && host_cores >= 2 {
             assert!(
-                lanes_best_speedup >= 1.05,
+                best_speedup >= 1.05,
                 "no thread count sped up the {name} build on a \
-                 {host_cores}-core host (best {lanes_best_speedup:.2}x)"
+                 {host_cores}-core host (best {best_speedup:.2}x)"
             );
         }
+        references.push(reference.expect("at least one thread count"));
     }
 
-    // ---- Portrait 3: sweep thread scaling. ----
-    let mut t3 = Table::new(vec![
+    // ---- Portrait 2: sweep thread scaling. ----
+    let mut t2 = Table::new(vec![
         "corpus",
         "threads",
         "sweep ms",
@@ -259,7 +181,7 @@ pub fn run(seed: u64, smoke: bool) -> (String, BenchData) {
             "sweep at {t} threads must reproduce the serial results bit-for-bit"
         );
         bench.push(format!("sweep_ms_t{t}"), ms, "ms");
-        t3.row(vec![
+        t2.row(vec![
             corpus.clone(),
             t.to_string(),
             format!("{ms:.0}"),
@@ -271,32 +193,17 @@ pub fn run(seed: u64, smoke: bool) -> (String, BenchData) {
     let mut out = t1.render();
     out.push('\n');
     out.push_str(&t2.render());
-    out.push('\n');
-    out.push_str(&t3.render());
     out.push_str(&format!(
         "\nReading: this host exposes {host_cores} core(s); thread-scaling \
          rows on a 1-core host measure scheduling overhead, not speedup, \
          which is why the floors are asserted only on multi-core hosts and \
          never in the smoke configuration. The `identical` columns are \
          backed by hard asserts: construction compares retained edge lists \
-         (ids and weight bits) against the serial scalar build, the sweep \
+         (ids and weight bits) against the serial build, the sweep \
          compares every algorithm's best threshold and metric bits against \
-         the serial sweep. The kernel speedup column is the PR 9 payoff — \
-         the lane kernels advance up to eight candidates per step through \
-         the same operation sequence, so they may only change the clock, \
-         never a bit of the graph (DESIGN.md §19; property suite in \
-         er-pipeline/tests/kernel_props.rs).\n"
+         the serial sweep.\n"
     ));
     (out, bench)
-}
-
-/// A `PipelineConfig` pinned to one kernel and worker count.
-fn config(kernel: KernelMode, threads: usize) -> PipelineConfig {
-    PipelineConfig {
-        threads,
-        kernel_mode: kernel,
-        ..PipelineConfig::default()
-    }
 }
 
 /// Everything two sweeps must agree on, in comparable (bit) form.
@@ -336,11 +243,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn scaling_smoke_renders_all_three_portraits() {
+    fn scaling_smoke_renders_both_portraits() {
         let s = render(5, true);
-        assert!(s.contains("kernel speedup"), "kernel portrait missing");
         assert!(s.contains("Levenshtein"), "edit-distance row missing");
-        assert!(s.contains("cosine"), "dense semantic row missing");
+        assert!(s.contains("cosine"), "token cosine row missing");
         assert!(
             s.contains("construction thread scaling"),
             "construction scaling portrait missing"
@@ -364,9 +270,9 @@ mod tests {
         assert_eq!(bench.format_version, crate::records::BENCH_DATA_VERSION);
         assert_eq!(bench.experiment, "scaling");
         for required in [
-            "kernel_scalar_ms_lev",
-            "kernel_lanes_ms_lev",
-            "kernel_speedup_cos",
+            "build_ms_lev_t1",
+            "build_ms_lev_t2",
+            "build_ms_cos_t1",
             "sweep_ms_t1",
         ] {
             assert!(bench.get(required).is_some(), "metric {required} missing");

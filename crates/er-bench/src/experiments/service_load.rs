@@ -3,7 +3,7 @@
 //! Two portraits of the PR's delta-incremental stack:
 //!
 //! 1. **Load test** — an [`ErService`] (resident scorer + CSR store +
-//!    incremental UMC) behind a `parking_lot::RwLock`, with reader
+//!    incremental UMC) behind a `std::sync::RwLock`, with reader
 //!    threads issuing point neighbor queries against live ids while a
 //!    writer thread interleaves record inserts and deletes (each update
 //!    re-scoring the record through the candidate indexes, applying the
@@ -23,6 +23,7 @@
 //! `smoke` shrinks both portraits to the CI configuration (seconds, not
 //! minutes) while keeping every assertion live.
 
+use std::sync::RwLock;
 use std::time::Instant;
 
 use er_core::{CsrGraph, GraphBuilder, RowDelta, Side};
@@ -32,7 +33,6 @@ use er_matchers::{AlgorithmConfig, AlgorithmKind, PreparedGraph};
 use er_pipeline::SimilarityFunction;
 use er_service::{ErService, ServiceConfig};
 use er_textsim::{NGramScheme, VectorMeasure};
-use parking_lot::RwLock;
 
 use crate::records::BenchData;
 
@@ -130,7 +130,7 @@ fn load_test(seed: u64, smoke: bool, bench: &mut BenchData) -> String {
     let build_ms = built.elapsed().as_secs_f64() * 1e3;
     bench.push("service_build_ms", build_ms, "ms");
     let (n_left0, n_edges0) = {
-        let s = svc.read();
+        let s = svc.read().expect("poisoned: a scoped worker panicked");
         (s.n_left(), s.n_edges())
     };
 
@@ -145,7 +145,7 @@ fn load_test(seed: u64, smoke: bool, bench: &mut BenchData) -> String {
                 let mut rng = Lcg(seed ^ (0x9e37 + r as u64));
                 let mut lat = Vec::with_capacity(n_queries);
                 for _ in 0..n_queries {
-                    let s = svc.read();
+                    let s = svc.read().expect("poisoned: a scoped worker panicked");
                     let side = if rng.below(2) == 0 {
                         Side::Left
                     } else {
@@ -169,7 +169,7 @@ fn load_test(seed: u64, smoke: bool, bench: &mut BenchData) -> String {
             let mut ins = Vec::new();
             let mut del = Vec::new();
             for i in 0..n_updates {
-                let mut s = svc.write();
+                let mut s = svc.write().expect("poisoned: a scoped worker panicked");
                 if i % 3 == 2 {
                     // Delete a live record from the larger side.
                     let side = if s.n_left() >= s.n_right() {
@@ -216,7 +216,7 @@ fn load_test(seed: u64, smoke: bool, bench: &mut BenchData) -> String {
 
     // The traffic must leave the service equivalent to a full re-match.
     {
-        let mut s = svc.write();
+        let mut s = svc.write().expect("poisoned: a scoped worker panicked");
         let incremental = s.matching();
         assert_eq!(
             incremental,

@@ -28,8 +28,8 @@
 //! ops are deterministic — so the block results equal
 //! [`SemanticMeasure::similarity_vectors`] bit for bit, signed zeros
 //! included (property-pinned in `er-pipeline/tests/kernel_props.rs`).
-//! This is what lets the pipeline's `KernelMode::Lanes` stay
-//! bit-identical to the scalar engine all the way up to finished graph
+//! This is what keeps the pipeline's dense semantic graphs bit-identical
+//! to a naive per-pair reference all the way up to finished graph
 //! weights.
 
 use crate::dense::DenseVector;
@@ -46,44 +46,6 @@ pub const LANE_WIDTH: usize = 8;
 #[inline]
 fn sum_identity() -> f64 {
     std::iter::empty::<f64>().sum()
-}
-
-/// Batched Euclidean distances: `out[l] = a.euclidean_distance(bs[l])`
-/// for up to [`LANE_WIDTH`] right-hand vectors, bit for bit (the
-/// squared-difference sum per lane runs in the scalar dimension order;
-/// `sqrt` is correctly rounded). Panics on dimension mismatch, like
-/// [`DenseVector::euclidean_distance`].
-///
-/// ```
-/// use er_embed::lanes::euclidean_distance_batch;
-/// use er_embed::DenseVector;
-///
-/// let a = DenseVector(vec![1.0, 2.0]);
-/// let bs = [DenseVector(vec![3.0, 4.0]), DenseVector(vec![-1.0, 0.5])];
-/// let refs: Vec<&DenseVector> = bs.iter().collect();
-/// let mut out = [0.0f64; 2];
-/// euclidean_distance_batch(&a, &refs, &mut out);
-/// assert_eq!(out[0].to_bits(), a.euclidean_distance(&bs[0]).to_bits());
-/// assert_eq!(out[1].to_bits(), a.euclidean_distance(&bs[1]).to_bits());
-/// ```
-pub fn euclidean_distance_batch(a: &DenseVector, bs: &[&DenseVector], out: &mut [f64]) {
-    let n = bs.len();
-    assert!(n <= LANE_WIDTH, "at most {LANE_WIDTH} vectors per batch");
-    assert!(out.len() >= n, "output slice too short");
-    for b in bs {
-        assert_eq!(a.dim(), b.dim(), "dimension mismatch");
-    }
-    let mut acc = [sum_identity(); LANE_WIDTH];
-    for (i, &av) in a.0.iter().enumerate() {
-        let av = av as f64;
-        for l in 0..n {
-            let d = av - bs[l].0[i] as f64;
-            acc[l] += d * d;
-        }
-    }
-    for l in 0..n {
-        out[l] = acc[l].sqrt();
-    }
 }
 
 /// A left-row vector prepared for block scoring: its norm and zero flag
@@ -238,14 +200,6 @@ impl VectorBlocks {
         self.zero[slot] = other.zero[j];
     }
 
-    /// Copy vector `j` out into `v` (resized to the dimension).
-    pub fn copy_into(&self, j: usize, v: &mut DenseVector) {
-        assert!(j < self.len, "vector index out of range");
-        let (base, lane) = ((j / LANE_WIDTH) * self.dim * LANE_WIDTH, j % LANE_WIDTH);
-        v.0.clear();
-        v.0.extend((0..self.dim).map(|i| self.comps[base + i * LANE_WIDTH + lane]));
-    }
-
     /// Score `probe` against every lane of block `block`:
     /// `out[l] = measure.similarity_vectors(probe, vector(block · L + l))`
     /// bit for bit for every stored lane (padding lanes hold garbage).
@@ -328,22 +282,6 @@ mod tests {
     }
 
     #[test]
-    fn euclidean_batch_is_bit_identical_to_scalar() {
-        let a = DenseVector(vec![0.1, -7.0, 2.5]);
-        let bs = vecs();
-        let refs: Vec<&DenseVector> = bs.iter().collect();
-        let mut out = [0.0f64; LANE_WIDTH];
-        euclidean_distance_batch(&a, &refs, &mut out);
-        for (l, b) in bs.iter().enumerate() {
-            assert_eq!(
-                out[l].to_bits(),
-                a.euclidean_distance(b).to_bits(),
-                "lane {l}"
-            );
-        }
-    }
-
-    #[test]
     fn blocks_are_bit_identical_to_scalar() {
         let bs = vecs();
         let blocks = blocks_of(&bs);
@@ -371,19 +309,29 @@ mod tests {
     }
 
     #[test]
-    fn gather_and_copy_round_trip() {
+    fn gather_round_trip() {
         let bs: Vec<DenseVector> = (0..11)
             .map(|j| DenseVector(vec![j as f32, -(j as f32), 0.5]))
             .collect();
         let blocks = blocks_of(&bs);
         assert_eq!((blocks.len(), blocks.n_blocks()), (11, 2));
         let mut gathered = VectorBlocks::with_capacity(3, LANE_WIDTH);
-        let mut v = DenseVector::zeros(0);
-        for (slot, j) in [10usize, 0, 7].into_iter().enumerate() {
+        let order = [10usize, 0, 7];
+        for (slot, &j) in order.iter().enumerate() {
             gathered.push_from(&blocks, j);
-            gathered.copy_into(slot, &mut v);
-            assert_eq!(v, bs[j]);
             assert_eq!(gathered.is_zero(slot), bs[j].is_zero());
+        }
+        // A gathered lane scores exactly like the vector it copied.
+        let probe = DenseVector(vec![0.25, 3.0, -1.0]);
+        let mut out = [0.0f64; LANE_WIDTH];
+        gathered.similarity_block(SemanticMeasure::Euclidean, &Probe::new(&probe), 0, &mut out);
+        for (slot, &j) in order.iter().enumerate() {
+            assert_eq!(
+                out[slot].to_bits(),
+                SemanticMeasure::Euclidean
+                    .similarity_vectors(&probe, &bs[j])
+                    .to_bits()
+            );
         }
         gathered.clear();
         assert!(gathered.is_empty());

@@ -21,7 +21,8 @@
 //! equality of best threshold, precision/recall/F1, and per-threshold
 //! matchings for all eight algorithms.
 
-use parking_lot::Mutex;
+use std::sync::Mutex;
+
 use serde::{Deserialize, Serialize};
 
 use er_core::{GroundTruth, ThresholdGrid};
@@ -126,12 +127,13 @@ impl SweepEngine {
                         break;
                     }
                     let result = sweep_unit(&units[idx], &config, g, gt, grid);
-                    slots.lock()[idx] = Some(result);
+                    slots.lock().expect("poisoned: a scoped worker panicked")[idx] = Some(result);
                 });
             }
         });
         slots
             .into_inner()
+            .expect("poisoned: a scoped worker panicked")
             .into_iter()
             .map(|slot| slot.expect("every unit swept"))
             .collect()

@@ -244,7 +244,7 @@ impl<'g> PreparedGraph<'g> {
     }
 
     /// Wrap a graph together with a sorted edge view built elsewhere —
-    /// e.g. emitted by `er-pipeline`'s construction engine — skipping the
+    /// e.g. one kept from an earlier preparation — skipping the
     /// `O(m log m)` re-sort [`PreparedGraph::new`] would pay.
     ///
     /// `sorted` must be the weight-descending view of exactly `graph`'s

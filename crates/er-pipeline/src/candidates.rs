@@ -11,28 +11,33 @@
 //!   the [`ProbePlan`] order over the existing right-side inverted index,
 //!   and generation stops at the first plan step whose *suffix bound* (the
 //!   best similarity any still-undiscovered candidate could reach) falls
-//!   strictly below the sink's admission bound.
+//!   strictly below the sink's admission bound. The build runs it for
+//!   every measure but cosine; the resident service (`crate::resident`)
+//!   runs it for every token measure.
 //! * **Character edit measures** (`generate_char_candidates`) — the
 //!   length-difference and char-bag counting filters inverted into a
 //!   [`LengthBucketIndex`]: whole length buckets are skipped via the
 //!   `O(1)` length bound, and bucket members via the counting-filter bound
 //!   computed by one multiplicity probe of the bucket postings.
-//! * **Word Mover's** (`generate_ball_candidates`) — centroid-ball
-//!   pruning over a [`VectorBallIndex`] of the right bags' summary
-//!   centroids: balls are visited in ascending distance-lower-bound order
-//!   and generation stops at the first ball whose mapped similarity bound
-//!   falls strictly below the admission bound. The resident service
-//!   (`crate::resident`) probes the same generator for its dense
-//!   semantic families.
+//! * **Dense vectors** (`generate_ball_candidates`) — centroid-ball
+//!   pruning over a [`VectorBallIndex`]: balls are visited in ascending
+//!   distance-lower-bound order and generation stops at the first ball
+//!   whose mapped similarity bound falls strictly below the admission
+//!   bound. Only the resident service (`crate::resident`) probes it, for
+//!   its dense semantic families.
 //!
-//! The dense semantic measures (cosine, Euclidean) have **no** index in
-//! the build: their indexed path scores full rows through the
-//! dimension-blocked lane kernel (`er_embed::lanes::VectorBlocks`).
-//! Encoded texts crowd into the encoders' anisotropy cone, so a ball
-//! index over them skipped under 1% of the pairs at `k = 5` and cost
-//! more time than it saved (DESIGN.md §14 has the measurements).
-//! The full-row path still honours the admission bound at row level:
-//! no dense similarity exceeds 1, so `k = 0` generates nothing.
+//! Three branch families have **no** index in the build, because
+//! measurement showed the index cost more than it saved (DESIGN.md §14,
+//! §19): the token cosine measures, whose weighted-postings walk already
+//! visits only term-sharing pairs and beat the prefix filter in both
+//! modes; the dense semantic measures (cosine, Euclidean), scored in
+//! full rows through the dimension-blocked lane kernel
+//! (`er_embed::lanes::VectorBlocks`), because encoded texts crowd into
+//! the encoders' anisotropy cone and a ball index skipped under 1% of
+//! the pairs at `k = 5`; and Word Mover's, enumerated under its
+//! centroid upper bound, whose centroid balls skipped under 0.2%.
+//! These paths still honour the admission bound at row level: none of
+//! their similarities exceeds 1, so `k = 0` generates nothing.
 //!
 //! # Completeness (why no admitted pair is lost)
 //!

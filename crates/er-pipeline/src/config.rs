@@ -2,29 +2,6 @@
 
 use serde::Serialize;
 
-/// Which kernel set the scoring engine runs.
-///
-/// Both modes produce **bit-identical** graphs for every branch of the
-/// taxonomy, every candidate mode and every thread count — the lane
-/// kernels replicate the scalar float/integer operation sequences per
-/// lane (see `er_textsim::lanes` / `er_embed::lanes` and DESIGN.md §19;
-/// property-proven in `tests/kernel_props.rs` and
-/// `tests/graphgen_props.rs`). What changes is throughput: lanes
-/// advance up to eight candidates per kernel step, turning the serial
-/// per-candidate dependency chains into independent lanes the core can
-/// overlap.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
-pub enum KernelMode {
-    /// One-candidate-at-a-time kernels (the PR 5–8 engine).
-    Scalar,
-    /// Lane-parallel batch kernels: multi-text Myers, batched
-    /// length/counting-filter screens, lane-parallel dense dot/cosine
-    /// and batched WMD token distances. The default — strictly more
-    /// work per step at identical results.
-    #[default]
-    Lanes,
-}
-
 /// Knobs for graph generation.
 #[derive(Debug, Clone, Serialize)]
 pub struct PipelineConfig {
@@ -49,10 +26,6 @@ pub struct PipelineConfig {
     /// through an atomic cursor and merged back in chunk order, so the
     /// chunk size affects load balancing only — never results.
     pub chunk_rows: usize,
-    /// Which kernel set scores candidates. Both settings build
-    /// bit-identical graphs; [`KernelMode::Lanes`] (the default) batches
-    /// up to eight candidates per kernel step.
-    pub kernel_mode: KernelMode,
 }
 
 impl Default for PipelineConfig {
@@ -62,7 +35,6 @@ impl Default for PipelineConfig {
             keep_positive_only: true,
             threads: 0,
             chunk_rows: 0,
-            kernel_mode: KernelMode::default(),
         }
     }
 }

@@ -28,11 +28,7 @@
 //!
 //! [`build_graph_restricted`] reuses the same scorers to score *only*
 //! blocked candidate pairs — the production "blocking first" pipeline —
-//! instead of building the full graph and discarding most of it, and
-//! [`build_prepared`] emits the sorted edge view alongside the graph, so
-//! construction and a following threshold sweep
-//! (`er_matchers::PreparedGraph::from_sorted`) share exactly one
-//! `O(m log m)` sort between them instead of each deriving its own view.
+//! instead of building the full graph and discarding most of it.
 //!
 //! # The streaming top-k path
 //!
@@ -44,7 +40,7 @@
 //! descending, ties by ascending right id) and row-local, so results are
 //! bit-identical across thread counts; with `k = usize::MAX` the retained
 //! edge set equals [`build_graph`]'s (property-tested in
-//! `tests/graphgen_props.rs`). [`build_graph_topk_stats`] returns the
+//! `tests/graphgen_props.rs`). [`build_graph_topk_mode`] returns the
 //! builder accounting ([`TopKStats`]) that proves the bound.
 //!
 //! # Bound-driven scoring
@@ -64,18 +60,27 @@
 //! **bit-identical** to the dense-then-prune flow (property-proven per
 //! measure and thread count). [`TopKStats`] reports the
 //! offered/pruned/scored accounting.
+//!
+//! # One kernel per branch
+//!
+//! Each taxonomy branch scores through exactly one production kernel:
+//! the lane kernels for the character measures (multi-text Myers for
+//! Levenshtein, batched bound screens for the rest), the
+//! weighted-postings dot accumulator for token cosine, the
+//! dimension-blocked kernel for dense semantic vectors, and the
+//! per-worker distance cache for Word Mover's. The property suites
+//! compare them against one naive all-pairs reference built from the
+//! public per-pair measures (`tests/common/`), bit for bit.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-
-use parking_lot::Mutex;
+use std::sync::Mutex;
 
 use er_core::{
-    ConstructionCounters, Edge, FxHashMap, FxHashSet, GraphBuilder, SimilarityGraph, SortedEdges,
-    TopKRow,
+    ConstructionCounters, Edge, FxHashMap, FxHashSet, GraphBuilder, SimilarityGraph, TopKRow,
 };
 use er_datasets::{Dataset, EntityCollection, EntityProfile};
 use er_embed::lanes::{self as embed_lanes, Probe, VectorBlocks};
-use er_embed::{inverse_distance_bound, BagSummary, DenseVector, SemanticMeasure, VectorBallIndex};
+use er_embed::{BagSummary, DenseVector, SemanticMeasure};
 use er_textsim::lanes::{self, MyersBatch, LANE_WIDTH};
 use er_textsim::{
     CharMeasure, CharScratch, CharTable, DfIndex, GraphSimilarity, LengthBucketIndex, NGramGraph,
@@ -83,10 +88,8 @@ use er_textsim::{
 };
 use serde::Serialize;
 
-use crate::candidates::{
-    generate_ball_candidates, generate_char_candidates, generate_token_candidates, CandidateMode,
-};
-use crate::config::{KernelMode, PipelineConfig};
+use crate::candidates::{generate_char_candidates, generate_token_candidates, CandidateMode};
+use crate::config::PipelineConfig;
 use crate::taxonomy::{SemanticScope, SimilarityFunction};
 
 /// A scored pair before normalization: `(left, right, raw weight)`.
@@ -215,20 +218,6 @@ pub struct GeneratedGraph {
     pub graph: SimilarityGraph,
 }
 
-/// A constructed graph bundled with its weight-descending sorted edge
-/// view, produced in one pass by [`build_prepared`] /
-/// [`build_prepared_over`]. Feed it to
-/// `er_matchers::PreparedGraph::from_sorted`: the sort happens once, at
-/// emit time, and every downstream consumer (sweeps, stats, caches)
-/// shares this view instead of deriving its own.
-#[derive(Debug, Clone)]
-pub struct BuiltGraph {
-    /// The normalized similarity graph.
-    pub graph: SimilarityGraph,
-    /// The graph's edges sorted once at emit time (weight descending).
-    pub sorted: SortedEdges,
-}
-
 /// Build the similarity graph of `function` over `dataset`.
 pub fn build_graph(
     dataset: &Dataset,
@@ -253,7 +242,7 @@ pub fn build_graph_over(
     finalize(
         left,
         right,
-        score_shards(left, right, function, None, cfg, ScoreMode::Dense),
+        score_shards(left, right, function, cfg, ScoreMode::Dense),
         cfg,
     )
 }
@@ -261,7 +250,7 @@ pub fn build_graph_over(
 /// Build the **top-k pruned** similarity graph of `function` over
 /// `dataset`: only each left entity's best `k` edges are kept, selected
 /// *during* scoring so the dense graph never materializes (peak resident
-/// edges stay in `O(n_left × k)` — see [`build_graph_topk_stats`]).
+/// edges stay in `O(n_left × k)` — see [`build_graph_topk_mode`]).
 ///
 /// ```
 /// use er_datasets::{Dataset, DatasetId};
@@ -283,37 +272,20 @@ pub fn build_graph_topk(
     k: usize,
     cfg: &PipelineConfig,
 ) -> SimilarityGraph {
-    build_graph_topk_over(&dataset.left, &dataset.right, function, k, cfg)
+    build_graph_topk_mode(
+        &dataset.left,
+        &dataset.right,
+        function,
+        k,
+        CandidateMode::Enumerated,
+        cfg,
+    )
+    .0
 }
 
-/// [`build_graph_topk`] over two bare collections (the imported-data
-/// entry point). See [`build_graph_topk_stats`] for the semantics and
-/// the accounting variant.
-///
-/// ```
-/// # use er_datasets::{Dataset, DatasetId};
-/// # use er_pipeline::{build_graph_topk_over, PipelineConfig, SimilarityFunction};
-/// # use er_textsim::{NGramScheme, VectorMeasure};
-/// let d = Dataset::generate(DatasetId::D1, 0.02, 7);
-/// let f = SimilarityFunction::SchemaAgnosticVector {
-///     scheme: NGramScheme::Token(1),
-///     measure: VectorMeasure::CosineTfIdf,
-/// };
-/// let g = build_graph_topk_over(&d.left, &d.right, &f, 1, &PipelineConfig::default());
-/// assert!(g.n_edges() <= d.left.len());
-/// ```
-pub fn build_graph_topk_over(
-    left: &EntityCollection,
-    right: &EntityCollection,
-    function: &SimilarityFunction,
-    k: usize,
-    cfg: &PipelineConfig,
-) -> SimilarityGraph {
-    build_graph_topk_stats(left, right, function, k, cfg).0
-}
-
-/// [`build_graph_topk_over`] plus the builder accounting that proves the
-/// memory bound.
+/// [`build_graph_topk`] over two bare collections — the imported-data
+/// entry point — with an explicit [`CandidateMode`], plus the builder
+/// accounting that proves the memory bound.
 ///
 /// Semantics: each left row keeps its `k` best candidates by **raw**
 /// score, ties broken by ascending right id (the deterministic
@@ -334,45 +306,22 @@ pub fn build_graph_topk_over(
 /// [`build_graph_over`]'s edge set exactly; results are bit-identical
 /// across thread counts either way.
 ///
-/// ```
-/// # use er_datasets::{Dataset, DatasetId};
-/// # use er_pipeline::{build_graph_topk_stats, PipelineConfig, SimilarityFunction};
-/// # use er_textsim::{NGramScheme, VectorMeasure};
-/// let d = Dataset::generate(DatasetId::D1, 0.02, 7);
-/// let f = SimilarityFunction::SchemaAgnosticVector {
-///     scheme: NGramScheme::Token(1),
-///     measure: VectorMeasure::CosineTfIdf,
-/// };
-/// let k = 2;
-/// let (g, stats) = build_graph_topk_stats(&d.left, &d.right, &f, k, &PipelineConfig::default());
-/// assert_eq!(stats.retained_edges, g.n_edges());
-/// assert!(stats.peak_resident_edges <= d.left.len() * k);
-/// ```
-pub fn build_graph_topk_stats(
-    left: &EntityCollection,
-    right: &EntityCollection,
-    function: &SimilarityFunction,
-    k: usize,
-    cfg: &PipelineConfig,
-) -> (SimilarityGraph, TopKStats) {
-    build_graph_topk_mode(left, right, function, k, CandidateMode::Enumerated, cfg)
-}
-
-/// [`build_graph_topk_stats`] with an explicit [`CandidateMode`].
-///
 /// [`CandidateMode::Indexed`] replaces each branch's candidate
 /// *enumeration* with index-driven generation under the sink's admission
-/// bound (prefix-filtered postings for the token-vector measures, length
-/// buckets with counting filters for the character measures, centroid
-/// balls for Word Mover's — see [`crate::candidates`]): pairs an index
-/// rules out are never materialized, so [`TopKStats::generated_pairs`]
-/// itself drops below `n_left × n_right` while the finished graph stays
+/// bound (prefix-filtered postings for the non-cosine token-vector
+/// measures, length buckets with counting filters for the character
+/// measures — see [`crate::candidates`]): pairs an index rules out are
+/// never materialized, so [`TopKStats::generated_pairs`] itself drops
+/// below `n_left × n_right` while the finished graph stays
 /// **bit-identical** to [`CandidateMode::Enumerated`] for every taxonomy
 /// branch, `k` and thread count (property-proven in
 /// `tests/candidates_props.rs`). Branches without a candidate index (the
-/// schema-based token measures, the n-gram graph models, the dense
-/// semantic measures) fall back to their own enumeration — still
-/// correct, just not sub-quadratic.
+/// token cosine measures, whose weighted-postings walk already visits
+/// only term-sharing pairs; the schema-based token measures; the n-gram
+/// graph models; every semantic measure, Word Mover's included) run
+/// their own enumeration — still correct, just not sub-quadratic. Of
+/// those, the cosine and semantic branches generate nothing when the
+/// sink can admit nothing (`k = 0`): their similarities never exceed 1.
 ///
 /// ```
 /// use er_datasets::{Dataset, DatasetId};
@@ -387,11 +336,14 @@ pub fn build_graph_topk_stats(
 ///     measure: SchemaBasedMeasure::Char(CharMeasure::Levenshtein),
 /// };
 /// let cfg = PipelineConfig::default();
+/// let k = 2;
 /// let (g_enum, s_enum) =
-///     build_graph_topk_mode(&d.left, &d.right, &f, 2, CandidateMode::Enumerated, &cfg);
+///     build_graph_topk_mode(&d.left, &d.right, &f, k, CandidateMode::Enumerated, &cfg);
 /// let (g_idx, s_idx) =
-///     build_graph_topk_mode(&d.left, &d.right, &f, 2, CandidateMode::Indexed, &cfg);
+///     build_graph_topk_mode(&d.left, &d.right, &f, k, CandidateMode::Indexed, &cfg);
 /// assert_eq!(g_enum.edges(), g_idx.edges());
+/// assert_eq!(s_enum.retained_edges, g_enum.n_edges());
+/// assert!(s_enum.peak_resident_edges <= d.left.len() * k);
 /// assert!(s_idx.generated_pairs <= s_enum.generated_pairs);
 /// assert_eq!(s_idx.generated_pairs, s_idx.pruned_pairs + s_idx.scored_pairs);
 /// ```
@@ -424,7 +376,6 @@ pub fn build_graph_topk_framed(
         left,
         right,
         function,
-        None,
         cfg,
         ScoreMode::TopK {
             k,
@@ -444,68 +395,21 @@ pub fn build_graph_topk_framed(
     (graph, stats, frame)
 }
 
-/// [`build_graph_topk_over`] restricted to the blocked `candidates` —
-/// the production combination: block first, score only candidate pairs,
-/// and keep each left entity's best `k` of them, all in one streaming
-/// pass with peak resident edges in `O(n_left × k)`. Equivalent to
-/// [`build_graph_restricted`] followed by
-/// `SimilarityGraph::pruned_top_k(k)` under the default protocol (same
-/// caveats as [`build_graph_topk_stats`]); normalization runs over the
-/// restricted, pruned score set.
-///
-/// ```
-/// # use er_core::FxHashSet;
-/// # use er_datasets::{Dataset, DatasetId};
-/// # use er_pipeline::{build_graph_topk_restricted, PipelineConfig, SimilarityFunction};
-/// # use er_textsim::{NGramScheme, VectorMeasure};
-/// let d = Dataset::generate(DatasetId::D1, 0.02, 7);
-/// let f = SimilarityFunction::SchemaAgnosticVector {
-///     scheme: NGramScheme::Token(1),
-///     measure: VectorMeasure::CosineTfIdf,
-/// };
-/// let candidates = er_pipeline::token_blocking(&d.left, &d.right).candidate_pairs();
-/// let g =
-///     build_graph_topk_restricted(&d.left, &d.right, &f, &candidates, 2, &PipelineConfig::default());
-/// assert!(g.n_edges() <= d.left.len() * 2);
-/// ```
-pub fn build_graph_topk_restricted(
-    left: &EntityCollection,
-    right: &EntityCollection,
-    function: &SimilarityFunction,
-    candidates: &FxHashSet<(u32, u32)>,
-    k: usize,
-    cfg: &PipelineConfig,
-) -> SimilarityGraph {
-    let lists = CandidateLists::new(left.len() as u32, right.len() as u32, candidates);
-    let acct = ConstructionCounters::default();
-    let shards = score_shards(
-        left,
-        right,
-        function,
-        Some(&lists),
-        cfg,
-        ScoreMode::TopK {
-            k,
-            acct: &acct,
-            indexed: false,
-        },
-    );
-    finalize(left, right, shards, cfg)
-}
-
 /// Builder accounting of one streaming top-k construction
-/// ([`build_graph_topk_stats`]).
+/// ([`build_graph_topk_mode`]).
 ///
 /// ```
 /// # use er_datasets::{Dataset, DatasetId};
-/// # use er_pipeline::{build_graph_topk_stats, PipelineConfig, SimilarityFunction};
+/// # use er_pipeline::{build_graph_topk_mode, CandidateMode, PipelineConfig, SimilarityFunction};
 /// # use er_textsim::{NGramScheme, VectorMeasure};
 /// let d = Dataset::generate(DatasetId::D1, 0.02, 7);
 /// let f = SimilarityFunction::SchemaAgnosticVector {
 ///     scheme: NGramScheme::Token(1),
 ///     measure: VectorMeasure::CosineTfIdf,
 /// };
-/// let (_, stats) = build_graph_topk_stats(&d.left, &d.right, &f, 3, &PipelineConfig::default());
+/// let cfg = PipelineConfig::default();
+/// let (_, stats) =
+///     build_graph_topk_mode(&d.left, &d.right, &f, 3, CandidateMode::Enumerated, &cfg);
 /// assert!(stats.offered_edges >= stats.retained_edges);
 /// assert!(stats.peak_resident_edges >= stats.retained_edges);
 /// ```
@@ -518,7 +422,9 @@ pub struct TopKStats {
     /// full candidate enumeration; [`CandidateMode::Indexed`] generates
     /// only the pairs its candidate index could not rule out, so this is
     /// the counter that proves the all-pairs loop is dead
-    /// (`generated_pairs ≪ n_left × n_right`).
+    /// (`generated_pairs ≪ n_left × n_right`). Branches without a
+    /// candidate index (see [`build_graph_topk_mode`]) generate their
+    /// enumeration in both modes.
     pub generated_pairs: usize,
     /// Triples the scorers emitted — what the dense path would have
     /// buffered in full.
@@ -540,32 +446,6 @@ pub struct TopKStats {
     /// `pruned_pairs + scored_pairs` is the candidate volume a
     /// bound-aware scorer faced; the prune rate is their ratio.
     pub scored_pairs: usize,
-}
-
-/// Build the similarity graph of `function` over `dataset`, emitting the
-/// sorted edge view alongside (see [`BuiltGraph`]).
-pub fn build_prepared(
-    dataset: &Dataset,
-    function: &SimilarityFunction,
-    cfg: &PipelineConfig,
-) -> BuiltGraph {
-    build_prepared_over(&dataset.left, &dataset.right, function, cfg)
-}
-
-/// [`build_graph_over`] plus the sorted edge view, sorted once at emit
-/// time. Total work equals `build_graph_over` + `PreparedGraph::new`
-/// (one sort either way); the point is ownership — construction emits
-/// the view, so callers that need the graph *and* a prepared sweep input
-/// cannot end up sorting twice.
-pub fn build_prepared_over(
-    left: &EntityCollection,
-    right: &EntityCollection,
-    function: &SimilarityFunction,
-    cfg: &PipelineConfig,
-) -> BuiltGraph {
-    let graph = build_graph_over(left, right, function, cfg);
-    let sorted = graph.sorted_edges();
-    BuiltGraph { graph, sorted }
 }
 
 /// Build the similarity graph of `function` restricted to the blocked
@@ -595,7 +475,7 @@ pub fn build_graph_restricted(
     finalize(
         left,
         right,
-        score_shards(left, right, function, Some(&lists), cfg, ScoreMode::Dense),
+        score_shards(left, right, function, cfg, ScoreMode::Restricted(&lists)),
         cfg,
     )
 }
@@ -702,20 +582,22 @@ fn fan_out_chunks<S: RowScorer>(
                         break;
                     }
                     let buf = score_chunk(c, &mut scratch);
-                    slots.lock()[c] = Some(buf);
+                    slots.lock().expect("poisoned: a scoped worker panicked")[c] = Some(buf);
                 }
             });
         }
     });
     slots
         .into_inner()
+        .expect("poisoned: a scoped worker panicked")
         .into_iter()
         .map(|slot| slot.expect("every chunk scored"))
         .collect()
 }
 
 /// The dense score phase: shard rows into contiguous chunks and collect
-/// every retained triple.
+/// every retained triple — of each row's own enumeration, or of its
+/// blocked candidates when `cands` is given.
 fn run_rows<S: RowScorer>(
     scorer: &S,
     cands: Option<&CandidateLists>,
@@ -823,13 +705,12 @@ impl EdgeSink for TopKSink<'_> {
 /// size, exactly as for the dense path.
 fn run_rows_topk<S: RowScorer>(
     scorer: &S,
-    cands: Option<&CandidateLists>,
     k: usize,
     cfg: &PipelineConfig,
     acct: &ConstructionCounters,
     indexed: bool,
 ) -> Vec<Vec<Triple>> {
-    run_rows_topk_range(scorer, cands, k, cfg, acct, indexed, 0..scorer.n_rows())
+    run_rows_topk_range(scorer, k, cfg, acct, indexed, 0..scorer.n_rows())
 }
 
 /// [`run_rows_topk`] over a contiguous sub-range of the scorer's rows —
@@ -841,7 +722,6 @@ fn run_rows_topk<S: RowScorer>(
 /// the range boundaries, thread count, or chunk size.
 fn run_rows_topk_range<S: RowScorer>(
     scorer: &S,
-    cands: Option<&CandidateLists>,
     k: usize,
     cfg: &PipelineConfig,
     acct: &ConstructionCounters,
@@ -861,10 +741,10 @@ fn run_rows_topk_range<S: RowScorer>(
         let mut buf = Vec::new();
         let mut sink = TopKSink::new(k, acct);
         for row in base + c * chunk..base + ((c + 1) * chunk).min(n_rows) {
-            match cands {
-                None if indexed => scorer.score_row_indexed(row, scratch, &mut sink),
-                None => scorer.score_row(row, scratch, &mut sink),
-                Some(lists) => scorer.score_row_restricted(row, lists, scratch, &mut sink),
+            if indexed {
+                scorer.score_row_indexed(row, scratch, &mut sink);
+            } else {
+                scorer.score_row(row, scratch, &mut sink);
             }
             sink.drain_row_into(&mut buf);
         }
@@ -883,6 +763,8 @@ fn run_rows_topk_range<S: RowScorer>(
 pub(crate) enum ScoreMode<'a> {
     /// Keep every retained triple — the paper's dense protocol.
     Dense,
+    /// Keep every retained triple of the blocked candidates only.
+    Restricted(&'a CandidateLists),
     /// Stream through bounded per-row top-k heaps (the scale path).
     TopK {
         /// Edges kept per left row.
@@ -906,13 +788,13 @@ impl ScoreMode<'_> {
 /// Dispatch one prepared scorer into the requested score phase.
 fn run_scorer<S: RowScorer>(
     scorer: &S,
-    cands: Option<&CandidateLists>,
     cfg: &PipelineConfig,
     mode: ScoreMode<'_>,
 ) -> Vec<Vec<Triple>> {
     match mode {
-        ScoreMode::Dense => run_rows(scorer, cands, cfg),
-        ScoreMode::TopK { k, acct, indexed } => run_rows_topk(scorer, cands, k, cfg, acct, indexed),
+        ScoreMode::Dense => run_rows(scorer, None, cfg),
+        ScoreMode::Restricted(lists) => run_rows(scorer, Some(lists), cfg),
+        ScoreMode::TopK { k, acct, indexed } => run_rows_topk(scorer, k, cfg, acct, indexed),
     }
 }
 
@@ -935,6 +817,8 @@ trait ScorerVisitor {
 /// collections — and hand it to `v`. `with_bounds` / `indexed` pick the
 /// bound-driven / index-backed prepare variants (the top-k engine);
 /// both flags only add pruning structures, never change scores.
+/// `indexed` matters to the character measures alone, the only branch
+/// whose build keeps a separate candidate index.
 fn visit_scorer<V: ScorerVisitor>(
     left: &EntityCollection,
     right: &EntityCollection,
@@ -956,7 +840,6 @@ fn visit_scorer<V: ScorerVisitor>(
                     *m,
                     cfg.keep_positive_only,
                     indexed,
-                    cfg.kernel_mode,
                 );
                 v.visit(&s)
             }
@@ -972,14 +855,7 @@ fn visit_scorer<V: ScorerVisitor>(
             }
         },
         SimilarityFunction::SchemaAgnosticVector { scheme, measure } => {
-            let s = VectorScorer::prepare(
-                left,
-                right,
-                *scheme,
-                *measure,
-                cfg.keep_positive_only,
-                cfg.kernel_mode,
-            );
+            let s = VectorScorer::prepare(left, right, *scheme, *measure, cfg.keep_positive_only);
             v.visit(&s)
         }
         SimilarityFunction::SchemaAgnosticGraph { scheme, measure } => {
@@ -994,7 +870,7 @@ fn visit_scorer<V: ScorerVisitor>(
         } => {
             let enc = model.encoder();
             if measure.needs_token_vectors() {
-                let s = WmdScorer::prepare(left, right, &enc, scope, cfg, with_bounds, indexed);
+                let s = WmdScorer::prepare(left, right, &enc, scope, cfg, with_bounds);
                 v.visit(&s)
             } else {
                 let s = DenseSemanticScorer::prepare(
@@ -1004,7 +880,6 @@ fn visit_scorer<V: ScorerVisitor>(
                     *measure,
                     scope,
                     cfg.keep_positive_only,
-                    cfg.kernel_mode,
                 );
                 v.visit(&s)
             }
@@ -1014,7 +889,6 @@ fn visit_scorer<V: ScorerVisitor>(
 
 /// The in-RAM continuation: one score phase over all rows.
 struct RunAllRows<'a, 'b> {
-    cands: Option<&'a CandidateLists>,
     cfg: &'a PipelineConfig,
     mode: ScoreMode<'b>,
 }
@@ -1023,7 +897,7 @@ impl ScorerVisitor for RunAllRows<'_, '_> {
     type Out = Vec<Vec<Triple>>;
 
     fn visit<S: RowScorer>(self, scorer: &S) -> Vec<Vec<Triple>> {
-        run_scorer(scorer, self.cands, self.cfg, self.mode)
+        run_scorer(scorer, self.cfg, self.mode)
     }
 }
 
@@ -1032,7 +906,6 @@ pub(crate) fn score_shards(
     left: &EntityCollection,
     right: &EntityCollection,
     function: &SimilarityFunction,
-    cands: Option<&CandidateLists>,
     cfg: &PipelineConfig,
     mode: ScoreMode<'_>,
 ) -> Vec<Vec<Triple>> {
@@ -1043,7 +916,7 @@ pub(crate) fn score_shards(
         cfg,
         matches!(mode, ScoreMode::TopK { .. }),
         mode.is_indexed(),
-        RunAllRows { cands, cfg, mode },
+        RunAllRows { cfg, mode },
     )
 }
 
@@ -1071,7 +944,6 @@ impl<F: FnMut(usize, Vec<Vec<Triple>>)> ScorerVisitor for RunShardedRows<'_, F> 
             let end = (start + self.shard_rows).min(n_rows);
             let bufs = run_rows_topk_range(
                 scorer,
-                None,
                 self.k,
                 self.cfg,
                 self.acct,
@@ -1267,24 +1139,23 @@ impl RowScorer for SchemaBasedScorer<'_> {
 /// The prepare phase interns every attribute value (both sides) once
 /// into one shared [`CharTable`] — contiguous scalar-value slab, offsets
 /// and sorted character bags — so the score phase never re-decodes a
-/// string or allocates a `Vec<char>` per pair. Per candidate the scorer
-/// asks the sink for its admission bound and, when one exists (the
-/// top-k path):
-///
-/// 1. checks the `O(1)` length bound, then the `O(|a| + |b|)`
-///    counting-filter bag bound ([`CharMeasure::length_upper_bound`] /
-///    [`CharMeasure::bag_upper_bound`]);
-/// 2. for the edit-distance measures, derives the largest distance the
-///    bound still admits and runs the banded early-exit kernel, which
-///    abandons the pair once the distance provably exceeds it.
+/// string or allocates a `Vec<char>` per pair. Candidates are scored in
+/// lane chunks ([`Self::score_lane_chunk`]): when the sink has an
+/// admission bound (the top-k path) each chunk is first screened by the
+/// batched `O(1)` length bounds and counting-filter bag bounds
+/// ([`CharMeasure::length_upper_bound`] / [`CharMeasure::bag_upper_bound`]);
+/// Levenshtein survivors then get exact distances from the multi-text
+/// [`MyersBatch`], and the other measures' survivors run the scalar
+/// kernels, where the edit-distance measures derive the largest distance
+/// the bound still admits and abandon a pair once its distance provably
+/// exceeds it.
 ///
 /// Every bound is **exact** (≥ the measure's own `f64` under monotone
 /// float steps) and pruning fires only on *strictly* smaller bounds, so
 /// the retained edge set — and therefore the finished graph — is
 /// bit-identical to the unpruned build (property-proven per measure in
 /// `tests/graphgen_props.rs`). The dense path reports bound `-∞` and
-/// skips the bound machinery entirely; it still gains the char table
-/// and the row-prepared Myers bit-parallel Levenshtein.
+/// skips the bound machinery entirely.
 struct CharScorer {
     /// One shared table: left entries first, then right entries.
     table: CharTable,
@@ -1301,7 +1172,6 @@ struct CharScorer {
     index: Option<LengthBucketIndex>,
     measure: CharMeasure,
     keep_positive: bool,
-    kernel: KernelMode,
 }
 
 impl CharScorer {
@@ -1312,7 +1182,6 @@ impl CharScorer {
         measure: CharMeasure,
         keep_positive: bool,
         indexed: bool,
-        kernel: KernelMode,
     ) -> Self {
         fn with_attr<'a>(c: &'a EntityCollection, attribute: &str) -> (Vec<u32>, Vec<&'a str>) {
             let mut ids = Vec::new();
@@ -1349,35 +1218,19 @@ impl CharScorer {
             index,
             measure,
             keep_positive,
-            kernel,
         }
     }
 
-    /// Whether the row-level Myers pattern is worth preparing (only the
-    /// bit-parallel Levenshtein kernel consumes it).
+    /// Whether survivors are scored by the multi-text Myers batch (the
+    /// Levenshtein kernel) rather than one at a time.
     #[inline]
     fn uses_pattern(&self) -> bool {
         matches!(self.measure, CharMeasure::Levenshtein)
     }
 
-    /// Full (unbounded) similarity; Levenshtein rides the row-prepared
-    /// bit-parallel pattern, everything else the shared slice kernels.
-    fn full_similarity(&self, a: &[u32], b: &[u32], s: &mut CharScratch) -> f64 {
-        match self.measure {
-            CharMeasure::Levenshtein => {
-                let max_len = a.len().max(b.len());
-                if max_len == 0 {
-                    1.0
-                } else {
-                    1.0 - s.pattern_distance(b) as f64 / max_len as f64
-                }
-            }
-            m => m.similarity_codes(a, b, s),
-        }
-    }
-
-    /// Similarity under an admission bound: the edit-distance measures
-    /// run the banded early-exit kernel with the largest cutoff the
+    /// Similarity under an admission bound, for every measure but
+    /// Levenshtein (which [`MyersBatch`] scores): Damerau-Levenshtein
+    /// runs the banded early-exit kernel with the largest cutoff the
     /// bound still admits; `None` means the pair provably scores below
     /// the bound (counted as pruned). Other measures are fully scored —
     /// their bounds already did the pruning.
@@ -1388,80 +1241,19 @@ impl CharScorer {
         bound: f64,
         s: &mut CharScratch,
     ) -> Option<f64> {
-        match self.measure {
-            CharMeasure::Levenshtein | CharMeasure::DamerauLevenshtein if bound > 0.0 => {
-                let max_len = a.len().max(b.len());
-                if max_len == 0 {
-                    return Some(1.0);
-                }
-                let cutoff = edit_cutoff(bound, max_len);
-                // Band the DP only where it beats the full kernel.
-                let banded = 2 * cutoff + 1 < max_len;
-                let d = match self.measure {
-                    CharMeasure::Levenshtein => {
-                        if banded {
-                            s.levenshtein_bounded(a, b, cutoff)?
-                        } else {
-                            s.pattern_distance(b)
-                        }
-                    }
-                    _ => {
-                        if banded {
-                            s.osa_bounded(a, b, cutoff)?
-                        } else {
-                            return Some(self.measure.similarity_codes(a, b, s));
-                        }
-                    }
-                };
-                Some(1.0 - d as f64 / max_len as f64)
+        if matches!(self.measure, CharMeasure::DamerauLevenshtein) && bound > 0.0 {
+            let max_len = a.len().max(b.len());
+            if max_len == 0 {
+                return Some(1.0);
             }
-            _ => Some(self.full_similarity(a, b, s)),
+            let cutoff = edit_cutoff(bound, max_len);
+            // Band the DP only where it beats the full kernel.
+            if 2 * cutoff + 1 < max_len {
+                let d = s.osa_bounded(a, b, cutoff)?;
+                return Some(1.0 - d as f64 / max_len as f64);
+            }
         }
-    }
-
-    /// Score one candidate: bounds first (when the sink has an
-    /// admission bound), then the measure.
-    fn score_candidate<O: EdgeSink>(
-        &self,
-        li: u32,
-        row_entry: usize,
-        ri: u32,
-        right_entry: usize,
-        scratch: &mut CharScratch,
-        out: &mut O,
-    ) {
-        out.note_generated();
-        let a = self.table.codes(row_entry);
-        let b = self.table.codes(right_entry);
-        let bound = out.admission_bound();
-        let w = if bound == f64::NEG_INFINITY {
-            self.full_similarity(a, b, scratch)
-        } else {
-            if self.measure.length_upper_bound(a.len(), b.len()) < bound {
-                out.note_pruned();
-                return;
-            }
-            if let Some(ub) = self
-                .measure
-                .bag_upper_bound(self.table.bag(row_entry), self.table.bag(right_entry))
-            {
-                if ub < bound {
-                    out.note_pruned();
-                    return;
-                }
-            }
-            match self.bounded_similarity(a, b, bound, scratch) {
-                Some(w) => w,
-                None => {
-                    out.note_pruned();
-                    return;
-                }
-            }
-        };
-        out.note_scored();
-        if w > 0.0 || !self.keep_positive {
-            out.emit(li, ri, w);
-        }
+        Some(self.measure.similarity_codes(a, b, s))
     }
 
     /// Score one **index-generated** candidate: the generator already
@@ -1480,17 +1272,9 @@ impl CharScorer {
         out.note_generated();
         let a = self.table.codes(row_entry);
         let b = self.table.codes(right_entry);
-        let bound = out.admission_bound();
-        let w = if bound == f64::NEG_INFINITY {
-            self.full_similarity(a, b, scratch)
-        } else {
-            match self.bounded_similarity(a, b, bound, scratch) {
-                Some(w) => w,
-                None => {
-                    out.note_pruned();
-                    return;
-                }
-            }
+        let Some(w) = self.bounded_similarity(a, b, out.admission_bound(), scratch) else {
+            out.note_pruned();
+            return;
         };
         out.note_scored();
         if w > 0.0 || !self.keep_positive {
@@ -1500,27 +1284,24 @@ impl CharScorer {
 
     /// Lane-parallel scoring of up to [`LANE_WIDTH`] candidates
     /// (`(right id, table entry)` pairs, in candidate order). The graph
-    /// this path builds is **bit-identical** to chaining
-    /// [`Self::score_candidate`] over the same candidates — the argument,
-    /// expanded in DESIGN.md §19:
+    /// this path builds is **bit-identical** to scoring every candidate
+    /// with the measure's own `similarity` and keeping each row's best
+    /// `k` — the argument, expanded in DESIGN.md §19:
     ///
     /// * The batched length/counting-filter screens compute the exact
-    ///   scalar bound values (`lanes::length_upper_bounds` /
-    ///   `lanes::bag_upper_bounds_from_common` are bit-identical by
-    ///   construction), but against the admission bound captured at
-    ///   chunk start. The bound is monotone non-decreasing, so the chunk
-    ///   screen prunes a *subset* of what the scalar screen prunes; every
-    ///   extra survivor it lets through scores strictly below the final
-    ///   bound (the prune comparison is strict `<`) and is rejected by
-    ///   the sink's heap without displacing anything.
+    ///   per-candidate bound values (`lanes::length_upper_bounds` /
+    ///   `lanes::bag_upper_bounds_from_common` are bit-identical to the
+    ///   scalar bound formulas by construction), against the admission
+    ///   bound captured at chunk start. The bound is monotone
+    ///   non-decreasing, so a candidate screened out here scores strictly
+    ///   below the row's final bound (the prune comparison is strict
+    ///   `<`), and every survivor that later turns out to score below it
+    ///   is rejected by the sink's heap without displacing anything.
     /// * Levenshtein survivors get **exact** distances from the
-    ///   multi-text [`MyersBatch`] — the same integer the scalar banded
-    ///   kernel either reports or provably brackets above `cutoff`, so
-    ///   the emitted weight bits match wherever the scalar path emits
-    ///   and fall below the bound wherever it pruned.
+    ///   multi-text [`MyersBatch`] — the same integer the measure's own
+    ///   kernel computes, fed through the same weight formula.
     /// * Other measures score their survivors through the scalar
-    ///   bounded kernel with a *refreshed* per-candidate bound —
-    ///   unchanged behaviour, the chunk only reordered the screens.
+    ///   bounded kernel with a *refreshed* per-candidate bound.
     ///
     /// `prescreened` marks candidates that already passed the
     /// length/bag bounds inside an index generator (the
@@ -1630,23 +1411,59 @@ impl CharScorer {
                 }
                 let (ri, entry) = cands[l];
                 let b = self.table.codes(entry as usize);
-                let bound_now = out.admission_bound();
-                let w = if bound_now == f64::NEG_INFINITY {
-                    self.full_similarity(a, b, chars)
-                } else {
-                    match self.bounded_similarity(a, b, bound_now, chars) {
-                        Some(w) => w,
-                        None => {
-                            out.note_pruned();
-                            continue;
-                        }
-                    }
+                let Some(w) = self.bounded_similarity(a, b, out.admission_bound(), chars) else {
+                    out.note_pruned();
+                    continue;
                 };
                 out.note_scored();
                 if w > 0.0 || !self.keep_positive {
                     out.emit(li, ri, w);
                 }
             }
+        }
+    }
+
+    /// Score row `row` against `cands` (`(right id, table entry)`
+    /// pairs, in order) in lane chunks.
+    fn score_lanes<O: EdgeSink>(
+        &self,
+        row: usize,
+        cands: impl Iterator<Item = (u32, u32)>,
+        scratch: &mut CharGenScratch,
+        out: &mut O,
+    ) {
+        let li = self.left_ids[row];
+        if self.uses_pattern() {
+            scratch.batch.prepare(self.table.codes(row));
+        }
+        let mut chunk = [(0u32, 0u32); LANE_WIDTH];
+        let mut cn = 0;
+        for cand in cands {
+            chunk[cn] = cand;
+            cn += 1;
+            if cn == LANE_WIDTH {
+                self.score_lane_chunk(
+                    li,
+                    row,
+                    &chunk,
+                    false,
+                    &mut scratch.chars,
+                    &mut scratch.batch,
+                    out,
+                );
+                cn = 0;
+            }
+        }
+        if cn > 0 {
+            self.score_lane_chunk(
+                li,
+                row,
+                &chunk[..cn],
+                false,
+                &mut scratch.chars,
+                &mut scratch.batch,
+                out,
+            );
         }
     }
 }
@@ -1704,49 +1521,9 @@ impl RowScorer for CharScorer {
     }
 
     fn score_row<O: EdgeSink>(&self, row: usize, scratch: &mut CharGenScratch, out: &mut O) {
-        let li = self.left_ids[row];
         let offset = self.left_ids.len();
-        if matches!(self.kernel, KernelMode::Lanes) {
-            if self.uses_pattern() {
-                scratch.batch.prepare(self.table.codes(row));
-            }
-            let mut chunk = [(0u32, 0u32); LANE_WIDTH];
-            let mut cn = 0;
-            for (j, &ri) in self.right_ids.iter().enumerate() {
-                chunk[cn] = (ri, (offset + j) as u32);
-                cn += 1;
-                if cn == LANE_WIDTH {
-                    self.score_lane_chunk(
-                        li,
-                        row,
-                        &chunk[..cn],
-                        false,
-                        &mut scratch.chars,
-                        &mut scratch.batch,
-                        out,
-                    );
-                    cn = 0;
-                }
-            }
-            if cn > 0 {
-                self.score_lane_chunk(
-                    li,
-                    row,
-                    &chunk[..cn],
-                    false,
-                    &mut scratch.chars,
-                    &mut scratch.batch,
-                    out,
-                );
-            }
-            return;
-        }
-        if self.uses_pattern() {
-            scratch.chars.set_pattern(self.table.codes(row));
-        }
-        for (j, &ri) in self.right_ids.iter().enumerate() {
-            self.score_candidate(li, row, ri, offset + j, &mut scratch.chars, out);
-        }
+        let cands = (self.right_ids.iter().enumerate()).map(|(j, &ri)| (ri, (offset + j) as u32));
+        self.score_lanes(row, cands, scratch, out);
     }
 
     fn score_row_indexed<O: EdgeSink>(
@@ -1761,24 +1538,13 @@ impl RowScorer for CharScorer {
             .expect("indexed mode prepared without a length-bucket index");
         let li = self.left_ids[row];
         let offset = self.left_ids.len();
-        if matches!(self.kernel, KernelMode::Lanes) && self.uses_pattern() {
-            // Buffer generated candidates into lanes and flush through
-            // the multi-text Myers batch. Between flushes the generator
-            // keeps working with the bound as of the last flush — it
-            // therefore enumerates a *superset* of the scalar
-            // generator's candidates, and every extra one scores
-            // strictly below the final admission bound (see
-            // [`Self::score_lane_chunk`]); the retained graph is
-            // bit-identical.
-            scratch.batch.prepare(self.table.codes(row));
-            let CharGenScratch {
-                chars,
-                order,
-                counts,
-                batch,
-            } = scratch;
-            let mut chunk = [(0u32, 0u32); LANE_WIDTH];
-            let mut cn = 0usize;
+        let CharGenScratch {
+            chars,
+            order,
+            counts,
+            batch,
+        } = scratch;
+        if !self.uses_pattern() {
             generate_char_candidates(
                 index,
                 self.measure,
@@ -1789,29 +1555,23 @@ impl RowScorer for CharScorer {
                 out.admission_bound(),
                 |j| {
                     let ri = self.right_ids[j as usize];
-                    chunk[cn] = (ri, (offset + j as usize) as u32);
-                    cn += 1;
-                    if cn == LANE_WIDTH {
-                        self.score_lane_chunk(li, row, &chunk[..cn], true, chars, batch, out);
-                        cn = 0;
-                    }
+                    self.score_generated(li, row, ri, offset + j as usize, chars, out);
                     out.admission_bound()
                 },
             );
-            if cn > 0 {
-                self.score_lane_chunk(li, row, &chunk[..cn], true, chars, batch, out);
-            }
             return;
         }
-        if self.uses_pattern() {
-            scratch.chars.set_pattern(self.table.codes(row));
-        }
-        let CharGenScratch {
-            chars,
-            order,
-            counts,
-            ..
-        } = scratch;
+        // Levenshtein: buffer generated candidates into lanes and flush
+        // through the multi-text Myers batch. Between flushes the
+        // generator keeps working with the bound as of the last flush —
+        // it therefore enumerates a *superset* of what a per-candidate
+        // bound refresh would generate, and every extra candidate scores
+        // strictly below the final admission bound (see
+        // [`Self::score_lane_chunk`]); the retained graph is
+        // bit-identical.
+        batch.prepare(self.table.codes(row));
+        let mut chunk = [(0u32, 0u32); LANE_WIDTH];
+        let mut cn = 0usize;
         generate_char_candidates(
             index,
             self.measure,
@@ -1822,10 +1582,18 @@ impl RowScorer for CharScorer {
             out.admission_bound(),
             |j| {
                 let ri = self.right_ids[j as usize];
-                self.score_generated(li, row, ri, offset + j as usize, chars, out);
+                chunk[cn] = (ri, (offset + j as usize) as u32);
+                cn += 1;
+                if cn == LANE_WIDTH {
+                    self.score_lane_chunk(li, row, &chunk, true, chars, batch, out);
+                    cn = 0;
+                }
                 out.admission_bound()
             },
         );
+        if cn > 0 {
+            self.score_lane_chunk(li, row, &chunk[..cn], true, chars, batch, out);
+        }
     }
 
     fn score_row_restricted<O: EdgeSink>(
@@ -1836,51 +1604,12 @@ impl RowScorer for CharScorer {
         out: &mut O,
     ) {
         let li = self.left_ids[row];
-        if matches!(self.kernel, KernelMode::Lanes) {
-            if self.uses_pattern() {
-                scratch.batch.prepare(self.table.codes(row));
-            }
-            let mut chunk = [(0u32, 0u32); LANE_WIDTH];
-            let mut cn = 0;
-            for &r in cands.row(li) {
-                if let Some(&entry) = self.right_entry_by_id.get(&r) {
-                    chunk[cn] = (r, entry as u32);
-                    cn += 1;
-                    if cn == LANE_WIDTH {
-                        self.score_lane_chunk(
-                            li,
-                            row,
-                            &chunk[..cn],
-                            false,
-                            &mut scratch.chars,
-                            &mut scratch.batch,
-                            out,
-                        );
-                        cn = 0;
-                    }
-                }
-            }
-            if cn > 0 {
-                self.score_lane_chunk(
-                    li,
-                    row,
-                    &chunk[..cn],
-                    false,
-                    &mut scratch.chars,
-                    &mut scratch.batch,
-                    out,
-                );
-            }
-            return;
-        }
-        if self.uses_pattern() {
-            scratch.chars.set_pattern(self.table.codes(row));
-        }
-        for &r in cands.row(li) {
-            if let Some(&entry) = self.right_entry_by_id.get(&r) {
-                self.score_candidate(li, row, r, entry, &mut scratch.chars, out);
-            }
-        }
+        let cands = cands.row(li).iter().filter_map(|&r| {
+            self.right_entry_by_id
+                .get(&r)
+                .map(|&entry| (r, entry as u32))
+        });
+        self.score_lanes(row, cands, scratch, out);
     }
 }
 
@@ -1894,10 +1623,34 @@ impl RowScorer for CharScorer {
 struct ProbeScratch {
     stamp: Vec<u32>,
     candidates: Vec<u32>,
-    /// Per-right-id dot accumulators of the lane cosine path (empty when
-    /// the scorer runs scalar kernels). A slot is zeroed when its
-    /// candidate is first discovered, so no end-of-row sweep is needed.
+    /// Per-right-id dot accumulators of the cosine path (empty for the
+    /// other measures). A slot is zeroed when its candidate is first
+    /// discovered, so no end-of-row sweep is needed.
     acc: Vec<f64>,
+}
+
+/// The right-side postings a [`VectorScorer`] walks.
+enum Postings {
+    /// Right ids per term: the candidate enumeration of the non-cosine
+    /// measures, each candidate then scored by
+    /// [`VectorMeasure::similarity`], and the index their prefix-filtered
+    /// [`CandidateMode::Indexed`] walk probes.
+    Plain(FxHashMap<u64, Vec<u32>>),
+    /// `(right id, term weight)` per term, for the cosine measures: one
+    /// pass accumulates every candidate's dot product in the probe's
+    /// term order — the **same ascending-term-id order** (and hence the
+    /// same f64 addition sequence, bit for bit) that
+    /// `SparseVector::dot`'s sorted merge join produces per pair. The
+    /// walk visits only term-sharing pairs, so it is itself the index:
+    /// it beat the prefix-filter walk in both candidate modes
+    /// (DESIGN.md §19).
+    Weighted {
+        postings: FxHashMap<u64, Vec<(u32, f64)>>,
+        /// `right_vecs[j].norm()` — recomputing a norm is
+        /// deterministic, so the cached value equals a per-pair
+        /// recomputation bit for bit.
+        right_norms: Vec<f64>,
+    },
 }
 
 /// Inverted-index scoring of n-gram vector models.
@@ -1906,21 +1659,7 @@ struct VectorScorer {
     right_vecs: Vec<SparseVector>,
     df_left: DfIndex,
     df_right: DfIndex,
-    /// Inverted index over right-side terms.
-    index: FxHashMap<u64, Vec<u32>>,
-    /// Weight-carrying postings for the lane cosine path
-    /// ([`KernelMode::Lanes`] + a cosine measure): one pass over these
-    /// accumulates every candidate's dot product in the probe's term
-    /// order — the **same ascending-term-id order** (and hence the same
-    /// f64 addition sequence, bit for bit) that
-    /// `SparseVector::dot`'s sorted merge join produces per pair. The
-    /// other measures and the indexed path (whose prefix-filter early
-    /// stop needs a fresh bound after every single score) stay scalar.
-    windex: Option<FxHashMap<u64, Vec<(u32, f64)>>>,
-    /// `right_vecs[j].norm()` under the lane path — recomputing a norm
-    /// is deterministic, so the cached value equals the scalar path's
-    /// per-pair recomputation bit for bit.
-    right_norms: Vec<f64>,
+    postings: Postings,
     measure: VectorMeasure,
     keep_positive: bool,
 }
@@ -1932,7 +1671,6 @@ impl VectorScorer {
         scheme: NGramScheme,
         measure: VectorMeasure,
         keep_positive: bool,
-        kernel: KernelMode,
     ) -> Self {
         let model = VectorModel::new(scheme);
         let weighting = measure.weighting();
@@ -1959,31 +1697,28 @@ impl VectorScorer {
         let left_vecs: Vec<SparseVector> = texts_left.iter().map(vec_of).collect();
         let right_vecs: Vec<SparseVector> = texts_right.iter().map(vec_of).collect();
 
-        let mut index: FxHashMap<u64, Vec<u32>> = FxHashMap::default();
-        for (j, v) in right_vecs.iter().enumerate() {
-            for &(t, _) in v.terms() {
-                index.entry(t).or_default().push(j as u32);
-            }
-        }
-
-        let lane_cosine = matches!(kernel, KernelMode::Lanes)
-            && matches!(
-                measure,
-                VectorMeasure::CosineTf | VectorMeasure::CosineTfIdf
-            );
-        let windex = lane_cosine.then(|| {
-            let mut w: FxHashMap<u64, Vec<(u32, f64)>> = FxHashMap::default();
+        let postings = if matches!(
+            measure,
+            VectorMeasure::CosineTf | VectorMeasure::CosineTfIdf
+        ) {
+            let mut postings: FxHashMap<u64, Vec<(u32, f64)>> = FxHashMap::default();
             for (j, v) in right_vecs.iter().enumerate() {
                 for &(t, wt) in v.terms() {
-                    w.entry(t).or_default().push((j as u32, wt));
+                    postings.entry(t).or_default().push((j as u32, wt));
                 }
             }
-            w
-        });
-        let right_norms = if lane_cosine {
-            right_vecs.iter().map(SparseVector::norm).collect()
+            Postings::Weighted {
+                postings,
+                right_norms: right_vecs.iter().map(SparseVector::norm).collect(),
+            }
         } else {
-            Vec::new()
+            let mut index: FxHashMap<u64, Vec<u32>> = FxHashMap::default();
+            for (j, v) in right_vecs.iter().enumerate() {
+                for &(t, _) in v.terms() {
+                    index.entry(t).or_default().push(j as u32);
+                }
+            }
+            Postings::Plain(index)
         };
 
         VectorScorer {
@@ -1991,9 +1726,7 @@ impl VectorScorer {
             right_vecs,
             df_left,
             df_right,
-            index,
-            windex,
-            right_norms,
+            postings,
             measure,
             keep_positive,
         }
@@ -2002,6 +1735,22 @@ impl VectorScorer {
     #[inline]
     fn dfs(&self) -> Option<(&DfIndex, &DfIndex)> {
         Some((&self.df_left, &self.df_right))
+    }
+
+    /// Score right vector `j` against left row `row` with the measure
+    /// itself.
+    #[inline]
+    fn score_pair<O: EdgeSink>(&self, row: usize, j: u32, out: &mut O) {
+        out.note_generated();
+        let w = self.measure.similarity(
+            &self.left_vecs[row],
+            &self.right_vecs[j as usize],
+            self.dfs(),
+        );
+        out.note_scored();
+        if w > 0.0 || !self.keep_positive {
+            out.emit(row as u32, j, w);
+        }
     }
 }
 
@@ -2013,17 +1762,14 @@ impl RowScorer for VectorScorer {
     }
 
     fn scratch(&self) -> ProbeScratch {
+        let n_acc = match self.postings {
+            Postings::Weighted { .. } => self.right_vecs.len(),
+            Postings::Plain(_) => 0,
+        };
         ProbeScratch {
             stamp: vec![0u32; self.right_vecs.len()],
             candidates: Vec::new(),
-            acc: vec![
-                0.0;
-                if self.windex.is_some() {
-                    self.right_vecs.len()
-                } else {
-                    0
-                }
-            ],
+            acc: vec![0.0; n_acc],
         }
     }
 
@@ -2031,87 +1777,87 @@ impl RowScorer for VectorScorer {
         let lv = &self.left_vecs[row];
         let mark = row as u32 + 1;
         scratch.candidates.clear();
-        if let Some(windex) = &self.windex {
-            // Lane cosine path: one pass over the weighted postings
-            // accumulates every candidate's dot product. Candidate `j`'s
-            // products arrive in ascending probe-term order — exactly
-            // the order `SparseVector::dot`'s sorted merge adds them —
-            // from an accumulator zeroed at discovery, so `acc[j]`
-            // equals the scalar per-pair dot bit for bit; the cached
-            // norms and the `denom == 0 → 0` / clamp steps replicate
-            // `VectorMeasure::similarity`'s cosine arm exactly.
-            for &(t, wa) in lv.terms() {
-                if let Some(js) = windex.get(&t) {
-                    for &(j, wb) in js {
-                        let ju = j as usize;
-                        if scratch.stamp[ju] != mark {
-                            scratch.stamp[ju] = mark;
-                            scratch.candidates.push(j);
-                            scratch.acc[ju] = 0.0;
+        match &self.postings {
+            Postings::Weighted {
+                postings,
+                right_norms,
+            } => {
+                // One pass over the weighted postings accumulates every
+                // candidate's dot product. Candidate `j`'s products
+                // arrive in ascending probe-term order — exactly the
+                // order `SparseVector::dot`'s sorted merge adds them —
+                // from an accumulator zeroed at discovery, so `acc[j]`
+                // equals the per-pair dot bit for bit; the cached norms
+                // and the `denom == 0 → 0` / clamp steps replicate
+                // `VectorMeasure::similarity`'s cosine arm exactly.
+                for &(t, wa) in lv.terms() {
+                    if let Some(js) = postings.get(&t) {
+                        for &(j, wb) in js {
+                            let ju = j as usize;
+                            if scratch.stamp[ju] != mark {
+                                scratch.stamp[ju] = mark;
+                                scratch.candidates.push(j);
+                                scratch.acc[ju] = 0.0;
+                            }
+                            scratch.acc[ju] += wa * wb;
                         }
-                        scratch.acc[ju] += wa * wb;
+                    }
+                }
+                let norm_a = lv.norm();
+                for &j in &scratch.candidates {
+                    out.note_generated();
+                    let denom = norm_a * right_norms[j as usize];
+                    let w = if denom == 0.0 {
+                        0.0
+                    } else {
+                        (scratch.acc[j as usize] / denom).clamp(0.0, 1.0)
+                    };
+                    out.note_scored();
+                    if w > 0.0 || !self.keep_positive {
+                        out.emit(row as u32, j, w);
                     }
                 }
             }
-            let norm_a = lv.norm();
-            for &j in &scratch.candidates {
-                out.note_generated();
-                let denom = norm_a * self.right_norms[j as usize];
-                let w = if denom == 0.0 {
-                    0.0
-                } else {
-                    (scratch.acc[j as usize] / denom).clamp(0.0, 1.0)
-                };
-                out.note_scored();
-                if w > 0.0 || !self.keep_positive {
-                    out.emit(row as u32, j, w);
-                }
-            }
-            return;
-        }
-        for &(t, _) in lv.terms() {
-            if let Some(js) = self.index.get(&t) {
-                for &j in js {
-                    if scratch.stamp[j as usize] != mark {
-                        scratch.stamp[j as usize] = mark;
-                        scratch.candidates.push(j);
+            Postings::Plain(index) => {
+                for &(t, _) in lv.terms() {
+                    if let Some(js) = index.get(&t) {
+                        for &j in js {
+                            if scratch.stamp[j as usize] != mark {
+                                scratch.stamp[j as usize] = mark;
+                                scratch.candidates.push(j);
+                            }
+                        }
                     }
                 }
-            }
-        }
-        for &j in &scratch.candidates {
-            out.note_generated();
-            let w = self
-                .measure
-                .similarity(lv, &self.right_vecs[j as usize], self.dfs());
-            out.note_scored();
-            if w > 0.0 || !self.keep_positive {
-                out.emit(row as u32, j, w);
+                for &j in &scratch.candidates {
+                    self.score_pair(row, j, out);
+                }
             }
         }
     }
 
+    /// Cosine rows run the weighted-postings walk, but no row at all
+    /// when the sink can admit nothing (`k = 0`): cosine is at most 1,
+    /// so an admission bound above 1 rules out the whole row. The other
+    /// measures walk the postings in prefix-filter order.
     fn score_row_indexed<O: EdgeSink>(&self, row: usize, scratch: &mut ProbeScratch, out: &mut O) {
+        let Postings::Plain(index) = &self.postings else {
+            if out.admission_bound() > 1.0 {
+                return;
+            }
+            return self.score_row(row, scratch, out);
+        };
         let lv = &self.left_vecs[row];
         let plan = self.measure.probe_plan(lv, self.dfs());
-        let mark = row as u32 + 1;
-        let li = row as u32;
         generate_token_candidates(
             &plan,
             lv.terms(),
-            &self.index,
+            index,
             &mut scratch.stamp,
-            mark,
+            row as u32 + 1,
             out.admission_bound(),
             |j| {
-                out.note_generated();
-                let w = self
-                    .measure
-                    .similarity(lv, &self.right_vecs[j as usize], self.dfs());
-                out.note_scored();
-                if w > 0.0 || !self.keep_positive {
-                    out.emit(li, j, w);
-                }
+                self.score_pair(row, j, out);
                 out.admission_bound()
             },
         );
@@ -2124,16 +1870,8 @@ impl RowScorer for VectorScorer {
         _scratch: &mut ProbeScratch,
         out: &mut O,
     ) {
-        let lv = &self.left_vecs[row];
         for &j in cands.row(row as u32) {
-            out.note_generated();
-            let w = self
-                .measure
-                .similarity(lv, &self.right_vecs[j as usize], self.dfs());
-            out.note_scored();
-            if w > 0.0 || !self.keep_positive {
-                out.emit(row as u32, j, w);
-            }
+            self.score_pair(row, j, out);
         }
     }
 }
@@ -2267,16 +2005,6 @@ struct DenseSemanticScorer {
     right: VectorBlocks,
     measure: SemanticMeasure,
     keep_positive: bool,
-    kernel: KernelMode,
-}
-
-/// Per-worker scratch of [`DenseSemanticScorer`].
-struct DenseScratch {
-    /// One right vector copied out for the scalar reference kernel.
-    vector: DenseVector,
-    /// Up to [`LANE_WIDTH`](embed_lanes::LANE_WIDTH) restricted
-    /// candidates packed into one block.
-    gathered: VectorBlocks,
 }
 
 impl DenseSemanticScorer {
@@ -2287,7 +2015,6 @@ impl DenseSemanticScorer {
         measure: SemanticMeasure,
         scope: &SemanticScope,
         keep_positive: bool,
-        kernel: KernelMode,
     ) -> Self {
         // One token cache for both sides: a token shared by many
         // profiles is embedded once per build.
@@ -2307,7 +2034,6 @@ impl DenseSemanticScorer {
             right: blocks,
             measure,
             keep_positive,
-            kernel,
         }
     }
 
@@ -2320,50 +2046,27 @@ impl DenseSemanticScorer {
             out.emit(li, j, w);
         }
     }
-
-    /// Score the candidates `js` (ascending, non-zero right vectors) with
-    /// the scalar reference [`SemanticMeasure::similarity_vectors`].
-    fn emit_scalar<O: EdgeSink>(
-        &self,
-        li: u32,
-        js: impl Iterator<Item = u32>,
-        scratch: &mut DenseScratch,
-        out: &mut O,
-    ) {
-        let a = &self.left[li as usize];
-        for j in js {
-            self.right.copy_into(j as usize, &mut scratch.vector);
-            let w = self.measure.similarity_vectors(a, &scratch.vector);
-            self.emit_scored(li, j, w, out);
-        }
-    }
 }
 
 impl RowScorer for DenseSemanticScorer {
-    type Scratch = DenseScratch;
+    /// Up to [`LANE_WIDTH`](embed_lanes::LANE_WIDTH) restricted
+    /// candidates packed into one block.
+    type Scratch = VectorBlocks;
 
     fn n_rows(&self) -> usize {
         self.left.len()
     }
 
-    fn scratch(&self) -> DenseScratch {
-        DenseScratch {
-            vector: DenseVector::zeros(self.right.dim()),
-            gathered: VectorBlocks::with_capacity(self.right.dim(), embed_lanes::LANE_WIDTH),
-        }
+    fn scratch(&self) -> VectorBlocks {
+        VectorBlocks::with_capacity(self.right.dim(), embed_lanes::LANE_WIDTH)
     }
 
-    fn score_row<O: EdgeSink>(&self, row: usize, scratch: &mut DenseScratch, out: &mut O) {
+    fn score_row<O: EdgeSink>(&self, row: usize, _gathered: &mut VectorBlocks, out: &mut O) {
         let a = &self.left[row];
         if a.is_zero() {
             return;
         }
         let li = row as u32;
-        if matches!(self.kernel, KernelMode::Scalar) {
-            let live = (0..self.right.len()).filter(|&j| !self.right.is_zero(j));
-            self.emit_scalar(li, live.map(|j| j as u32), scratch, out);
-            return;
-        }
         let probe = Probe::new(a);
         let mut sims = [0.0f64; embed_lanes::LANE_WIDTH];
         for block in 0..self.right.n_blocks() {
@@ -2382,18 +2085,18 @@ impl RowScorer for DenseSemanticScorer {
     /// Full rows, but no row at all when the sink can admit nothing
     /// (`k = 0`): every dense similarity is at most 1, so an admission
     /// bound above 1 rules out the whole row before it is generated.
-    fn score_row_indexed<O: EdgeSink>(&self, row: usize, scratch: &mut DenseScratch, out: &mut O) {
+    fn score_row_indexed<O: EdgeSink>(&self, row: usize, gathered: &mut VectorBlocks, out: &mut O) {
         if out.admission_bound() > 1.0 {
             return;
         }
-        self.score_row(row, scratch, out);
+        self.score_row(row, gathered, out);
     }
 
     fn score_row_restricted<O: EdgeSink>(
         &self,
         row: usize,
         cands: &CandidateLists,
-        scratch: &mut DenseScratch,
+        gathered: &mut VectorBlocks,
         out: &mut O,
     ) {
         let a = &self.left[row];
@@ -2406,10 +2109,6 @@ impl RowScorer for DenseSemanticScorer {
             .iter()
             .copied()
             .filter(|&j| !self.right.is_zero(j as usize));
-        if matches!(self.kernel, KernelMode::Scalar) {
-            self.emit_scalar(li, live, scratch, out);
-            return;
-        }
         // Pack the candidates into one block at a time, then run the
         // same block kernel as the full-row path.
         let probe = Probe::new(a);
@@ -2424,16 +2123,16 @@ impl RowScorer for DenseSemanticScorer {
         };
         let mut cn = 0;
         for j in live {
-            scratch.gathered.push_from(&self.right, j as usize);
+            gathered.push_from(&self.right, j as usize);
             js[cn] = j;
             cn += 1;
             if cn == embed_lanes::LANE_WIDTH {
-                flush(&mut scratch.gathered, &js, out);
+                flush(gathered, &js, out);
                 cn = 0;
             }
         }
         if cn > 0 {
-            flush(&mut scratch.gathered, &js[..cn], out);
+            flush(gathered, &js[..cn], out);
         }
     }
 }
@@ -2475,9 +2174,15 @@ impl DistCache {
 
 /// Word Mover's scoring with a token-distance cache: contextual token
 /// vectors repeat heavily across profiles, so each distinct unordered
-/// (token, token) distance is computed once per worker. Bags are truncated
-/// to `cfg.wmd_token_cap` tokens (documented substitution — relaxed WMD is
-/// quadratic in bag size).
+/// (token, token) distance is computed once per worker, on first use.
+/// Bags are truncated to `cfg.wmd_token_cap` tokens (documented
+/// substitution — relaxed WMD is quadratic in bag size).
+///
+/// Both candidate modes enumerate every non-empty right bag under the
+/// centroid upper bound: a centroid-ball index over the bag summaries
+/// skipped under 0.2% of the pairs at `k = 5`, and a lane-batched
+/// prefill of the cache was slower than filling it on demand
+/// (DESIGN.md §19).
 struct WmdScorer {
     /// Interned token-vector table: identical vectors share one id.
     /// Contextual encoders produce per-(token, context) vectors, interned
@@ -2494,13 +2199,7 @@ struct WmdScorer {
     /// admission bound — the summaries would be pure prepare overhead.
     left_summaries: Vec<Option<BagSummary>>,
     right_summaries: Vec<Option<BagSummary>>,
-    /// Centroid-ball index over the non-empty right bags' summary
-    /// centroids, entry radius = summary radius, so a ball's distance
-    /// lower bound is simultaneously a relaxed-WMD lower bound
-    /// ([`CandidateMode::Indexed`] only).
-    ball: Option<VectorBallIndex>,
     keep_positive: bool,
-    kernel: KernelMode,
 }
 
 impl WmdScorer {
@@ -2511,7 +2210,6 @@ impl WmdScorer {
         scope: &SemanticScope,
         cfg: &PipelineConfig,
         with_bounds: bool,
-        indexed: bool,
     ) -> Self {
         let mut vectors: Vec<DenseVector> = Vec::new();
         let mut intern: FxHashMap<Vec<u32>, u32> = FxHashMap::default();
@@ -2542,60 +2240,13 @@ impl WmdScorer {
         };
         let left_summaries = summarize(&left_bags);
         let right_summaries = summarize(&right_bags);
-        let ball = (indexed && with_bounds).then(|| {
-            let entries: Vec<(u32, &DenseVector, f64)> = right_summaries
-                .iter()
-                .enumerate()
-                .filter_map(|(j, s)| s.as_ref().map(|s| (j as u32, s.centroid(), s.radius())))
-                .collect();
-            VectorBallIndex::build(&entries)
-        });
         WmdScorer {
             vectors,
             left_bags,
             right_bags,
             left_summaries,
             right_summaries,
-            ball,
             keep_positive: cfg.keep_positive_only,
-            kernel: cfg.kernel_mode,
-        }
-    }
-
-    /// Lanes-mode cache prefill: gather the token pairs `(x, y)` for
-    /// `y ∈ ys` whose canonical distance is not cached yet and compute
-    /// them through the lane-parallel Euclidean kernel.
-    ///
-    /// Bit-identity with the scalar on-demand fill: the batch always
-    /// computes `‖v_x − v_y‖` while the canonical scalar fill computes
-    /// `‖v_min − v_max‖`, but per dimension `a − b = −(b − a)` exactly
-    /// and squaring erases the sign, so operand order never changes the
-    /// bits (pinned in `kernel_props.rs`). Only *when* distances enter
-    /// the cache changes — and since the scalar inner loop touches every
-    /// `(x, y)` pair of the fold this prefill covers, the cache contents
-    /// after each fold step are identical too.
-    fn fill_distances(&self, cache: &mut DistCache, x: u32, ys: &[u32], missing: &mut Vec<u32>) {
-        missing.clear();
-        for &y in ys {
-            let key = (x.min(y), x.max(y));
-            if !cache.map.contains_key(&key) && !missing.contains(&y) {
-                missing.push(y);
-            }
-        }
-        if missing.is_empty() {
-            return;
-        }
-        let xv = &self.vectors[x as usize];
-        let mut dists = [0.0f64; embed_lanes::LANE_WIDTH];
-        for chunk in missing.chunks(embed_lanes::LANE_WIDTH) {
-            let mut refs: [&DenseVector; embed_lanes::LANE_WIDTH] = [xv; embed_lanes::LANE_WIDTH];
-            for (i, &y) in chunk.iter().enumerate() {
-                refs[i] = &self.vectors[y as usize];
-            }
-            embed_lanes::euclidean_distance_batch(xv, &refs[..chunk.len()], &mut dists);
-            for (i, &y) in chunk.iter().enumerate() {
-                cache.map.insert((x.min(y), x.max(y)), dists[i]);
-            }
         }
     }
 
@@ -2617,14 +2268,9 @@ impl WmdScorer {
         a: &[u32],
         b: &[u32],
         bound: f64,
-        missing: &mut Vec<u32>,
     ) -> Option<f64> {
-        let lanes = matches!(self.kernel, KernelMode::Lanes);
         let mut d_ab = 0.0;
         for &x in a {
-            if lanes {
-                self.fill_distances(cache, x, b, missing);
-            }
             let mut best = f64::INFINITY;
             for &y in b {
                 best = best.min(cache.dist(&self.vectors, x, y));
@@ -2637,9 +2283,6 @@ impl WmdScorer {
         d_ab /= a.len() as f64;
         let mut d_ba = 0.0;
         for &y in b {
-            if lanes {
-                self.fill_distances(cache, y, a, missing);
-            }
             let mut best = f64::INFINITY;
             for &x in a {
                 best = best.min(cache.dist(&self.vectors, x, y));
@@ -2656,14 +2299,7 @@ impl WmdScorer {
     /// Score the candidate pair `(left row, right j)` — both known
     /// non-empty: centroid upper bound first, then the short-circuiting
     /// transport computation.
-    fn score_pair<O: EdgeSink>(
-        &self,
-        row: usize,
-        j: usize,
-        cache: &mut DistCache,
-        missing: &mut Vec<u32>,
-        out: &mut O,
-    ) {
+    fn score_pair<O: EdgeSink>(&self, row: usize, j: usize, cache: &mut DistCache, out: &mut O) {
         out.note_generated();
         let (a, b) = (&self.left_bags[row], &self.right_bags[j]);
         let bound = out.admission_bound();
@@ -2677,7 +2313,7 @@ impl WmdScorer {
                 }
             }
         }
-        match self.similarity_bounded(cache, a, b, bound, missing) {
+        match self.similarity_bounded(cache, a, b, bound) {
             None => out.note_pruned(),
             Some(w) => {
                 out.note_scored();
@@ -2689,31 +2325,19 @@ impl WmdScorer {
     }
 }
 
-/// Per-worker scratch of the WMD scorer: the symmetric token-distance
-/// cache, the indexed path's ball-distance buffer, and the lane
-/// prefill's uncached-partner buffer.
-struct WmdScratch {
-    cache: DistCache,
-    bounds: Vec<(f64, u32)>,
-    missing: Vec<u32>,
-}
-
 impl RowScorer for WmdScorer {
-    type Scratch = WmdScratch;
+    /// The worker's symmetric token-distance cache.
+    type Scratch = DistCache;
 
     fn n_rows(&self) -> usize {
         self.left_bags.len()
     }
 
-    fn scratch(&self) -> WmdScratch {
-        WmdScratch {
-            cache: DistCache::new(),
-            bounds: Vec::new(),
-            missing: Vec::new(),
-        }
+    fn scratch(&self) -> DistCache {
+        DistCache::new()
     }
 
-    fn score_row<O: EdgeSink>(&self, row: usize, scratch: &mut WmdScratch, out: &mut O) {
+    fn score_row<O: EdgeSink>(&self, row: usize, cache: &mut DistCache, out: &mut O) {
         if self.left_bags[row].is_empty() {
             return;
         }
@@ -2721,45 +2345,25 @@ impl RowScorer for WmdScorer {
             if b.is_empty() {
                 continue;
             }
-            self.score_pair(row, j, &mut scratch.cache, &mut scratch.missing, out);
+            self.score_pair(row, j, cache, out);
         }
     }
 
-    fn score_row_indexed<O: EdgeSink>(&self, row: usize, scratch: &mut WmdScratch, out: &mut O) {
-        let ball = self
-            .ball
-            .as_ref()
-            .expect("indexed mode prepared without a ball index");
-        if self.left_bags[row].is_empty() {
+    /// Full rows under the centroid bound, but no row at all when the
+    /// sink can admit nothing (`k = 0`): relaxed WMD similarity is at
+    /// most 1, so an admission bound above 1 rules out the whole row.
+    fn score_row_indexed<O: EdgeSink>(&self, row: usize, cache: &mut DistCache, out: &mut O) {
+        if out.admission_bound() > 1.0 {
             return;
         }
-        let sa = self.left_summaries[row]
-            .as_ref()
-            .expect("non-empty bag has a summary");
-        let WmdScratch {
-            cache,
-            bounds,
-            missing,
-        } = scratch;
-        generate_ball_candidates(
-            ball,
-            sa.centroid(),
-            sa.radius(),
-            bounds,
-            inverse_distance_bound,
-            out.admission_bound(),
-            |j| {
-                self.score_pair(row, j as usize, cache, missing, out);
-                out.admission_bound()
-            },
-        );
+        self.score_row(row, cache, out);
     }
 
     fn score_row_restricted<O: EdgeSink>(
         &self,
         row: usize,
         cands: &CandidateLists,
-        scratch: &mut WmdScratch,
+        cache: &mut DistCache,
         out: &mut O,
     ) {
         if self.left_bags[row].is_empty() {
@@ -2769,13 +2373,7 @@ impl RowScorer for WmdScorer {
             if self.right_bags[j as usize].is_empty() {
                 continue;
             }
-            self.score_pair(
-                row,
-                j as usize,
-                &mut scratch.cache,
-                &mut scratch.missing,
-                out,
-            );
+            self.score_pair(row, j as usize, cache, out);
         }
     }
 }
@@ -3073,7 +2671,6 @@ mod tests {
             },
             &cfg,
             false,
-            false,
         );
         assert_eq!(scorer.vectors.len(), 3, "3 distinct interned tokens");
         let mut scratch = scorer.scratch();
@@ -3082,7 +2679,7 @@ mod tests {
         assert_eq!(out.len(), 1);
         assert!((out[0].2 - 1.0).abs() < 1e-12, "identical bags score 1");
         assert_eq!(
-            scratch.cache.len(),
+            scratch.len(),
             6,
             "canonical keys store 3·4/2 = 6 unordered pairs, not 9 ordered"
         );
@@ -3208,8 +2805,15 @@ mod tests {
             scope: SemanticScope::SchemaAgnostic,
         };
         let k = 2usize;
-        let (g, stats) =
-            build_graph_topk_stats(&d.left, &d.right, &f, k, &PipelineConfig::default());
+        let enumerated = CandidateMode::Enumerated;
+        let (g, stats) = build_graph_topk_mode(
+            &d.left,
+            &d.right,
+            &f,
+            k,
+            enumerated,
+            &PipelineConfig::default(),
+        );
         let bound = d.left.len() * k;
         assert!(
             stats.peak_resident_edges <= bound,
@@ -3225,11 +2829,12 @@ mod tests {
             stats.offered_edges
         );
         // The same accounting holds when workers shard the rows.
-        let (_, par_stats) = build_graph_topk_stats(
+        let (_, par_stats) = build_graph_topk_mode(
             &d.left,
             &d.right,
             &f,
             k,
+            enumerated,
             &PipelineConfig {
                 threads: 4,
                 chunk_rows: 2,
@@ -3238,26 +2843,6 @@ mod tests {
         );
         assert!(par_stats.peak_resident_edges <= bound);
         assert_eq!(par_stats.offered_edges, stats.offered_edges);
-    }
-
-    #[test]
-    fn topk_restricted_matches_restricted_then_prune() {
-        let d = tiny();
-        let f = SimilarityFunction::SchemaAgnosticVector {
-            scheme: NGramScheme::Token(1),
-            measure: VectorMeasure::CosineTfIdf,
-        };
-        let cfg = PipelineConfig::default();
-        let candidates = crate::blocking::token_blocking(&d.left, &d.right).candidate_pairs();
-        let restricted = build_graph_restricted(&d.left, &d.right, &f, &candidates, &cfg);
-        for k in [1usize, 3] {
-            let streamed = build_graph_topk_restricted(&d.left, &d.right, &f, &candidates, k, &cfg);
-            assert_eq!(
-                edge_bits(&streamed),
-                edge_bits(&restricted.pruned_top_k(k)),
-                "k={k}"
-            );
-        }
     }
 
     #[test]
@@ -3314,27 +2899,16 @@ mod tests {
             scheme: NGramScheme::Token(1),
             measure: VectorMeasure::CosineTfIdf,
         };
-        let (g, stats) =
-            build_graph_topk_stats(&d.left, &d.right, &f, 0, &PipelineConfig::default());
+        let (g, stats) = build_graph_topk_mode(
+            &d.left,
+            &d.right,
+            &f,
+            0,
+            CandidateMode::Enumerated,
+            &PipelineConfig::default(),
+        );
         assert!(g.is_empty());
         assert_eq!(stats.peak_resident_edges, 0);
         assert!(stats.offered_edges > 0, "candidates were still scored");
-    }
-
-    #[test]
-    fn prepared_output_matches_separate_sort() {
-        let d = tiny();
-        let f = SimilarityFunction::SchemaBasedSyntactic {
-            attribute: "name".into(),
-            measure: SchemaBasedMeasure::Char(CharMeasure::Levenshtein),
-        };
-        let cfg = PipelineConfig::default();
-        let built = build_prepared(&d, &f, &cfg);
-        assert_eq!(built.sorted.len(), built.graph.n_edges());
-        let reference = build_graph(&d, &f, &cfg).sorted_edges();
-        for (a, b) in built.sorted.all().iter().zip(reference.all()) {
-            assert_eq!((a.left, a.right), (b.left, b.right));
-            assert_eq!(a.weight.to_bits(), b.weight.to_bits());
-        }
     }
 }

@@ -26,13 +26,12 @@
 //!   ([`build_graph_restricted`]) for blocking-first pipelines, a
 //!   **streaming top-k path** ([`build_graph_topk`]) that bounds peak
 //!   memory at `O(n_left × k)` edges by pruning during the score phase,
-//!   and a prepared output ([`build_prepared`]) whose emit-time sorted
-//!   edge view is shared with threshold sweeps (one sort across
-//!   construction and matching);
+//!   with one production scoring kernel per taxonomy branch;
 //! * **index-driven candidate generation** ([`candidates`]): the top-k
-//!   path can generate candidates from per-branch indexes (prefix-filtered
-//!   postings, length buckets with counting filters, centroid balls)
-//!   under the sink's admission bound — [`build_graph_topk_mode`] with
+//!   path can generate candidates from per-branch indexes (length
+//!   buckets with counting filters for the character measures,
+//!   prefix-filtered postings for the non-cosine token measures) under
+//!   the sink's admission bound — [`build_graph_topk_mode`] with
 //!   [`CandidateMode::Indexed`] — so ruled-out pairs are never
 //!   materialized while graphs stay bit-identical to enumeration;
 //! * an **out-of-core build** ([`sharded`]): [`build_graph_sharded`]
@@ -60,12 +59,10 @@ pub use blocking::{
 };
 pub use candidates::CandidateMode;
 pub use cleaning::{clean_graphs, CleaningOutcome};
-pub use config::{KernelMode, PipelineConfig};
+pub use config::PipelineConfig;
 pub use graphgen::{
     build_graph, build_graph_over, build_graph_restricted, build_graph_topk,
-    build_graph_topk_framed, build_graph_topk_mode, build_graph_topk_over,
-    build_graph_topk_restricted, build_graph_topk_stats, build_prepared, build_prepared_over,
-    BuiltGraph, GeneratedGraph, NormFrame, TopKStats,
+    build_graph_topk_framed, build_graph_topk_mode, GeneratedGraph, NormFrame, TopKStats,
 };
 pub use resident::ResidentScorer;
 pub use runner::generate_corpus;

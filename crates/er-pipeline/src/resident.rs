@@ -67,7 +67,7 @@ use er_textsim::{
 use crate::candidates::{
     generate_ball_candidates, generate_char_candidates, generate_token_candidates,
 };
-use crate::config::{KernelMode, PipelineConfig};
+use crate::config::PipelineConfig;
 use crate::graphgen::{scoped_text, NormFrame, ScoreMode};
 use crate::taxonomy::{SemanticScope, SimilarityFunction};
 
@@ -127,13 +127,9 @@ impl ResidentScorer {
                     Box::new(TokenFamily::prepare(left, right, *scheme, *measure)),
                 ),
                 SimilarityFunction::SchemaBasedSyntactic { attribute, measure } => match measure {
-                    SchemaBasedMeasure::Char(m) => Family::Char(Box::new(CharFamily::prepare(
-                        left,
-                        right,
-                        attribute,
-                        *m,
-                        cfg.kernel_mode,
-                    ))),
+                    SchemaBasedMeasure::Char(m) => {
+                        Family::Char(Box::new(CharFamily::prepare(left, right, attribute, *m)))
+                    }
                     SchemaBasedMeasure::Token(_) => Family::Fallback,
                 },
                 SimilarityFunction::Semantic {
@@ -629,8 +625,7 @@ struct CharFamily {
     right: CharSide,
     order: Vec<u32>,
     counts: Vec<u32>,
-    kernel: KernelMode,
-    /// Lanes-mode probe state (Levenshtein only): the probe's code
+    /// Levenshtein probe state: the probe's code
     /// points, the multi-text Myers batch prepared over them, and the
     /// per-lane candidate code buffers.
     probe_codes: Vec<u32>,
@@ -644,7 +639,6 @@ impl CharFamily {
         right: &EntityCollection,
         attribute: &str,
         measure: CharMeasure,
-        kernel: KernelMode,
     ) -> Self {
         fn with_attr(c: &EntityCollection, attribute: &str) -> (Vec<u32>, Vec<String>) {
             let mut ids = Vec::new();
@@ -666,7 +660,6 @@ impl CharFamily {
             right: CharSide::build(rid, rval),
             order: Vec::new(),
             counts: Vec::new(),
-            kernel,
             probe_codes: Vec::new(),
             batch: MyersBatch::new(),
             lane_codes: vec![Vec::new(); LANE_WIDTH],
@@ -694,14 +687,14 @@ impl CharFamily {
             Side::Right => &self.left,
         };
         let measure = self.measure;
-        if matches!(self.kernel, KernelMode::Lanes) && matches!(measure, CharMeasure::Levenshtein) {
-            // Lanes mode: buffer generated slots and flush them through
+        if matches!(measure, CharMeasure::Levenshtein) {
+            // Levenshtein: buffer generated slots and flush them through
             // the multi-text Myers batch. Between flushes the
             // generators see the bound of the last flush — a superset
-            // of the scalar candidates whose extras all score strictly
-            // below the final admission bound, so the retained row is
-            // bit-identical (same argument as the batch engine's
-            // indexed path, DESIGN.md §19).
+            // of the per-candidate-refresh candidates whose extras all
+            // score strictly below the final admission bound, so the
+            // retained row is bit-identical (same argument as the batch
+            // engine's indexed path, DESIGN.md §19).
             self.probe_codes.clear();
             self.probe_codes.extend(value.chars().map(u32::from));
             self.batch.prepare(&self.probe_codes);
@@ -1045,11 +1038,11 @@ fn fallback_probe(
     let shards = match side {
         Side::Left => {
             let right = right.to_collection();
-            crate::graphgen::score_shards(&singleton, &right, function, None, cfg, ScoreMode::Dense)
+            crate::graphgen::score_shards(&singleton, &right, function, cfg, ScoreMode::Dense)
         }
         Side::Right => {
             let left = left.to_collection();
-            crate::graphgen::score_shards(&left, &singleton, function, None, cfg, ScoreMode::Dense)
+            crate::graphgen::score_shards(&left, &singleton, function, cfg, ScoreMode::Dense)
         }
     };
     for (l, r, w) in shards.into_iter().flatten() {

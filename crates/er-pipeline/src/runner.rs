@@ -1,6 +1,6 @@
 //! Parallel corpus generation: every similarity function over one dataset.
 
-use parking_lot::Mutex;
+use std::sync::Mutex;
 
 use er_datasets::Dataset;
 
@@ -42,13 +42,15 @@ pub fn generate_corpus(
                 }
                 let function = functions[idx].clone();
                 let graph = build_graph(dataset, &function, &inner_cfg);
-                slots.lock()[idx] = Some(GeneratedGraph { function, graph });
+                slots.lock().expect("poisoned: a scoped worker panicked")[idx] =
+                    Some(GeneratedGraph { function, graph });
             });
         }
     });
 
     slots
         .into_inner()
+        .expect("poisoned: a scoped worker panicked")
         .into_iter()
         .map(|slot| slot.expect("every slot filled"))
         .collect()

@@ -5,10 +5,10 @@
 //! Invariants:
 //! 1. **Completeness / bit-identity**: for every branch of the taxonomy —
 //!    all 7 character measures over their length-bucket index, all 6
-//!    n-gram vector measures over the prefix-filtered inverted index,
-//!    Word Mover's over its centroid balls, the dense semantic
-//!    cosine/Euclidean branches (full rows), and the fallback branches
-//!    without an index — the indexed
+//!    n-gram vector measures (the cosine ones over their weighted
+//!    postings, the rest over the prefix-filtered inverted index), the
+//!    semantic branches (full rows; Word Mover's under its centroid
+//!    bound), and the fallback branches without an index — the indexed
 //!    build is **bit-identical** to the enumerated build, serially and
 //!    with 4 workers, for every `k`. An index may only *skip* pairs whose
 //!    exact upper bound falls strictly below the sink's admission bound,
@@ -28,9 +28,12 @@
 //!    edge set.
 //! 5. **Dense semantic paths**: all 12 dense semantic functions (both
 //!    models × cosine/Euclidean × two attributes and schema-agnostic)
-//!    give byte-identical graphs under every `KernelMode` ×
-//!    `CandidateMode` × thread count, through the out-of-core
-//!    `build_graph_sharded`, and on the restricted (blocked) path.
+//!    equal the naive all-pairs reference (`common`) byte for byte under
+//!    every `CandidateMode` × thread count, through the out-of-core
+//!    `build_graph_sharded`, and on the dense and restricted (blocked)
+//!    paths.
+
+mod common;
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -39,7 +42,7 @@ use er_datasets::{EntityCollection, EntityProfile};
 use er_embed::{EmbeddingModel, SemanticMeasure};
 use er_pipeline::{
     build_graph_over, build_graph_restricted, build_graph_sharded, build_graph_topk_mode,
-    token_blocking, CandidateMode, KernelMode, PipelineConfig, SemanticScope, ShardedConfig,
+    token_blocking, CandidateMode, PipelineConfig, SemanticScope, ShardedConfig,
     SimilarityFunction, TopKStats,
 };
 use er_textsim::{
@@ -297,9 +300,9 @@ proptest! {
         check_function(&left, &right, &function, k, 1);
     }
 
-    /// Invariants 1 and 2 over the semantic branches: the dense measures
-    /// score full rows on the indexed path, and centroid-ball generation
-    /// over bag summaries (Word Mover's) never prunes a retained pair.
+    /// Invariants 1 and 2 over the semantic branches: every semantic
+    /// measure scores full rows on the indexed path, and Word Mover's
+    /// centroid bound never prunes a retained pair.
     #[test]
     fn semantic_indexed_matches_enumerated(
         left in arb_collection(5),
@@ -420,10 +423,10 @@ proptest! {
         }
     }
 
-    /// Invariant 5: the scalar, enumerated, serial top-k build is the
-    /// reference; every kernel × candidate mode × thread count, the
-    /// sharded out-of-core build, and the dense and restricted builds
-    /// under both kernels reproduce it byte for byte.
+    /// Invariant 5: the naive all-pairs reference pruned to `k` is the
+    /// reference; every candidate mode × thread count and the sharded
+    /// out-of-core build reproduce it byte for byte, and the dense and
+    /// restricted builds reproduce their own naive references.
     #[test]
     fn dense_semantic_paths_are_byte_identical(
         left in arb_collection(6),
@@ -432,41 +435,28 @@ proptest! {
     ) {
         let blocked = token_blocking(&left, &right).candidate_pairs();
         for function in dense_semantic_functions() {
-            let with = |kernel: KernelMode, threads: usize| PipelineConfig {
-                kernel_mode: kernel,
-                ..cfg_with(threads)
-            };
-            let scalar = with(KernelMode::Scalar, 1);
-            let (want, _) = build_graph_topk_mode(
-                &left, &right, &function, k, CandidateMode::Enumerated, &scalar,
-            );
-            for kernel in [KernelMode::Scalar, KernelMode::Lanes] {
-                for mode in [CandidateMode::Enumerated, CandidateMode::Indexed] {
-                    for threads in [1, 2] {
-                        let (got, stats) = build_graph_topk_mode(
-                            &left, &right, &function, k, mode, &with(kernel, threads),
-                        );
-                        let what = format!(
-                            "{} k={k} {kernel:?} {mode:?} threads={threads}",
-                            function.name()
-                        );
-                        assert_bit_identical(&want, &got, &what);
-                        assert_counters_consistent(&stats, &what);
-                    }
+            let want = common::naive_topk(&left, &right, &function, k, &cfg_with(1));
+            for mode in [CandidateMode::Enumerated, CandidateMode::Indexed] {
+                for threads in [1, 2] {
+                    let (got, stats) = build_graph_topk_mode(
+                        &left, &right, &function, k, mode, &cfg_with(threads),
+                    );
+                    let what = format!("{} k={k} {mode:?} threads={threads}", function.name());
+                    common::assert_same_edges(&want, &got, &what);
+                    assert_counters_consistent(&stats, &what);
                 }
-                let two_threads = with(kernel, 2);
-                let what = format!("{} {kernel:?}", function.name());
-                assert_bit_identical(
-                    &build_graph_over(&left, &right, &function, &scalar),
-                    &build_graph_over(&left, &right, &function, &two_threads),
-                    &format!("{what} dense"),
-                );
-                assert_bit_identical(
-                    &build_graph_restricted(&left, &right, &function, &blocked, &scalar),
-                    &build_graph_restricted(&left, &right, &function, &blocked, &two_threads),
-                    &format!("{what} restricted"),
-                );
             }
+            let two_threads = cfg_with(2);
+            common::assert_same_edges(
+                &common::naive_graph(&left, &right, &function, &two_threads),
+                &build_graph_over(&left, &right, &function, &two_threads),
+                &format!("{} dense", function.name()),
+            );
+            common::assert_same_edges(
+                &common::naive_restricted(&left, &right, &function, &blocked, &two_threads),
+                &build_graph_restricted(&left, &right, &function, &blocked, &two_threads),
+                &format!("{} restricted", function.name()),
+            );
 
             let dir = scratch_dir();
             let (mapped, _, _) = build_graph_sharded(
@@ -475,7 +465,7 @@ proptest! {
                 &function,
                 k,
                 CandidateMode::Indexed,
-                &with(KernelMode::Lanes, 2),
+                &cfg_with(2),
                 &ShardedConfig::new(2, dir.join("spills")),
                 &dir.join("graph.slab"),
             )

@@ -8,34 +8,34 @@
 //! 2. the candidate-restricted fast path scores exactly the candidate
 //!    edge set (equal to `restrict_graph` over the full build) and is
 //!    itself bit-identical across thread counts;
-//! 3. the prepared output's sorted edge view equals a from-scratch
-//!    `sorted_edges()` of the same graph;
-//! 4. every normalized weight is finite, in `[0, 1]`, and positive under
+//! 3. every normalized weight is finite, in `[0, 1]`, and positive under
 //!    `keep_positive_only` (the 0.0-floor normalization contract);
-//! 5. the streaming top-k path is bit-identical to dense-then-prune
+//! 4. the streaming top-k path is bit-identical to dense-then-prune
 //!    (`build_graph` + `pruned_top_k`) for finite `k`, reproduces the
 //!    dense edge set at `k = ∞`, holds its `O(n_left × k)` peak-resident
 //!    bound, and is itself bit-identical across thread counts;
-//! 6. **bound-driven scoring is exact**: for every character-level
+//! 5. **bound-driven scoring is exact**: for every character-level
 //!    measure and the Word Mover's branch — the scorers that prune
 //!    candidates against the sink's admission bound (length/bag filters,
 //!    banded edit-distance cutoffs, centroid bounds, transport
 //!    short-circuits) — the pruned top-k build remains bit-identical to
 //!    dense-then-prune for `threads ∈ {1, 4}`, and the offered/pruned/
 //!    scored accounting stays consistent;
-//! 7. **kernel modes are equivalent**: `KernelMode::Lanes` (batched
-//!    screens, multi-text Myers, lane-parallel dense kernels, batched
-//!    WMD cache fills) builds bit-identical top-k graphs to
-//!    `KernelMode::Scalar` for every bounded scorer, across both
+//! 6. **the production kernels are exact**: the lane kernels (batched
+//!    screens, multi-text Myers, the dimension-blocked dense kernel, the
+//!    weighted-postings cosine accumulator) and the WMD distance cache
+//!    build top-k graphs bit-identical to the naive all-pairs reference
+//!    (`common::naive_topk`) for every bounded scorer, across both
 //!    candidate modes and `threads ∈ {1, 4}`.
+
+mod common;
 
 use er_core::{FxHashSet, SimilarityGraph};
 use er_datasets::{EntityCollection, EntityProfile};
 use er_embed::{EmbeddingModel, SemanticMeasure};
 use er_pipeline::blocking::{restrict_graph, token_blocking};
 use er_pipeline::{
-    build_graph_over, build_graph_restricted, build_graph_topk_mode, build_graph_topk_over,
-    build_graph_topk_stats, build_prepared_over, CandidateMode, KernelMode, PipelineConfig,
+    build_graph_over, build_graph_restricted, build_graph_topk_mode, CandidateMode, PipelineConfig,
     SemanticScope, SimilarityFunction,
 };
 use er_textsim::{CharMeasure, GraphSimilarity, NGramScheme, SchemaBasedMeasure, VectorMeasure};
@@ -110,6 +110,9 @@ fn branch_representatives() -> Vec<SimilarityFunction> {
     ]
 }
 
+/// The reference candidate mode of the top-k properties.
+const ENUMERATED: CandidateMode = CandidateMode::Enumerated;
+
 fn serial_cfg() -> PipelineConfig {
     PipelineConfig {
         threads: 1,
@@ -159,7 +162,7 @@ fn assert_weights_normalized(g: &SimilarityGraph, what: &str) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Invariants 1 and 4: parallel ≡ serial, bit for bit, for every
+    /// Invariants 1 and 3: parallel ≡ serial, bit for bit, for every
     /// taxonomy branch, under an awkward chunk size (forcing multi-chunk
     /// merges) and an oversubscribed thread count.
     #[test]
@@ -215,7 +218,7 @@ proptest! {
         }
     }
 
-    /// Invariant 5: streaming top-k ≡ dense-then-prune for every branch,
+    /// Invariant 4: streaming top-k ≡ dense-then-prune for every branch,
     /// bit for bit; `k = ∞` reproduces the dense edge set; parallel ≡
     /// serial; the peak-resident accounting never exceeds `n_left × k`.
     #[test]
@@ -228,7 +231,7 @@ proptest! {
         for function in branch_representatives() {
             let dense = build_graph_over(&left, &right, &function, &serial_cfg());
             let (streamed, stats) =
-                build_graph_topk_stats(&left, &right, &function, k, &serial_cfg());
+                build_graph_topk_mode(&left, &right, &function, k, ENUMERATED, &serial_cfg());
             assert_bit_identical(
                 &dense.pruned_top_k(k),
                 &streamed,
@@ -237,16 +240,28 @@ proptest! {
             prop_assert!(stats.peak_resident_edges <= left.len() * k);
             prop_assert_eq!(stats.retained_edges, streamed.n_edges());
 
-            let parallel =
-                build_graph_topk_over(&left, &right, &function, k, &parallel_cfg(threads, 2));
+            let (parallel, _) = build_graph_topk_mode(
+                &left,
+                &right,
+                &function,
+                k,
+                ENUMERATED,
+                &parallel_cfg(threads, 2),
+            );
             assert_bit_identical(
                 &streamed,
                 &parallel,
                 &format!("{} topk parallel k={k}", function.name()),
             );
 
-            let unbounded =
-                build_graph_topk_over(&left, &right, &function, usize::MAX, &serial_cfg());
+            let (unbounded, _) = build_graph_topk_mode(
+                &left,
+                &right,
+                &function,
+                usize::MAX,
+                ENUMERATED,
+                &serial_cfg(),
+            );
             let canon = |g: &SimilarityGraph| -> Vec<(u32, u32, u64)> {
                 let mut v: Vec<_> = g
                     .edges()
@@ -265,7 +280,7 @@ proptest! {
         }
     }
 
-    /// Invariant 6: prune-aware scoring never changes a bit. Every
+    /// Invariant 5: prune-aware scoring never changes a bit. Every
     /// measure with upper bounds (all 7 character measures, Word
     /// Mover's) builds the same top-k graph as the unpruned
     /// dense-then-prune flow, serially and with 4 workers; small `k`
@@ -293,14 +308,14 @@ proptest! {
         for function in functions {
             let dense = build_graph_over(&left, &right, &function, &serial_cfg());
             let (streamed, stats) =
-                build_graph_topk_stats(&left, &right, &function, k, &serial_cfg());
+                build_graph_topk_mode(&left, &right, &function, k, ENUMERATED, &serial_cfg());
             assert_bit_identical(
                 &dense.pruned_top_k(k),
                 &streamed,
                 &format!("{} pruned topk k={k}", function.name()),
             );
-            let parallel =
-                build_graph_topk_over(&left, &right, &function, k, &parallel_cfg(4, 2));
+            let (parallel, _) =
+                build_graph_topk_mode(&left, &right, &function, k, ENUMERATED, &parallel_cfg(4, 2));
             assert_bit_identical(
                 &streamed,
                 &parallel,
@@ -319,17 +334,17 @@ proptest! {
         }
     }
 
-    /// Invariant 7: the lane kernels never change a bit. For every
+    /// Invariant 6: the production kernels never change a bit. For every
     /// bounded scorer family (all 7 character measures, Word Mover's,
-    /// dense cosine), `build_graph_topk_mode` under `KernelMode::Lanes`
-    /// equals `KernelMode::Scalar` bit for bit — across both candidate
-    /// modes (enumeration and index-driven generation) and
-    /// `threads ∈ {1, 4}`. Small `k` keeps the admission bound tight, so
-    /// the stale-bound lane screens and buffered index flushes actually
-    /// diverge from the scalar pruning *decisions* while the retained
-    /// graphs must not.
+    /// dense cosine) and token-vector cosine, `build_graph_topk_mode`
+    /// equals the naive all-pairs reference pruned to `k`, bit for bit —
+    /// across both candidate modes (enumeration and index-driven
+    /// generation) and `threads ∈ {1, 4}`. Small `k` keeps the admission
+    /// bound tight, so the stale-bound lane screens and buffered index
+    /// flushes actually diverge from per-candidate pruning *decisions*
+    /// while the retained graphs must not.
     #[test]
-    fn lane_kernels_match_scalar_kernels(
+    fn lane_kernels_match_the_naive_reference(
         left in arb_collection(6),
         right in arb_collection(6),
         k in 1usize..=2,
@@ -353,8 +368,8 @@ proptest! {
             measure: SemanticMeasure::Cosine,
             scope: SemanticScope::SchemaAgnostic,
         });
-        // The token-vector cosine branch has its own lane path (the
-        // weighted-postings dot accumulator in `VectorScorer`).
+        // The token-vector cosine branch has its own accumulator (the
+        // weighted-postings walk in `VectorScorer`).
         functions.push(SimilarityFunction::SchemaAgnosticVector {
             scheme: NGramScheme::Token(1),
             measure: VectorMeasure::CosineTfIdf,
@@ -363,60 +378,28 @@ proptest! {
             scheme: NGramScheme::Char(2),
             measure: VectorMeasure::CosineTf,
         });
-        let with_kernel = |base: &PipelineConfig, kernel: KernelMode| PipelineConfig {
-            kernel_mode: kernel,
-            ..base.clone()
-        };
         for function in functions {
+            let reference = common::naive_topk(&left, &right, &function, k, &serial_cfg());
             for mode in [CandidateMode::Enumerated, CandidateMode::Indexed] {
-                let (scalar, _) = build_graph_topk_mode(
-                    &left,
-                    &right,
-                    &function,
-                    k,
-                    mode,
-                    &with_kernel(&serial_cfg(), KernelMode::Scalar),
-                );
                 for threads in [1usize, 4] {
-                    let (lanes, _) = build_graph_topk_mode(
+                    let (got, _) = build_graph_topk_mode(
                         &left,
                         &right,
                         &function,
                         k,
                         mode,
-                        &with_kernel(&parallel_cfg(threads, 2), KernelMode::Lanes),
+                        &parallel_cfg(threads, 2),
                     );
-                    assert_bit_identical(
-                        &scalar,
-                        &lanes,
+                    common::assert_same_edges(
+                        &reference,
+                        &got,
                         &format!(
-                            "{} lanes≡scalar mode={mode:?} threads={threads} k={k}",
+                            "{} ≡ naive mode={mode:?} threads={threads} k={k}",
                             function.name()
                         ),
                     );
                 }
             }
-        }
-    }
-
-    /// Invariant 3: the prepared output's sorted view is exactly the
-    /// graph's sorted edge view — no divergence from sorting at emit time.
-    #[test]
-    fn prepared_output_sorted_view_is_canonical(
-        left in arb_collection(6),
-        right in arb_collection(6),
-        threads in 1usize..=4,
-    ) {
-        let function = SimilarityFunction::SchemaAgnosticVector {
-            scheme: NGramScheme::Token(1),
-            measure: VectorMeasure::Jaccard,
-        };
-        let built = build_prepared_over(&left, &right, &function, &parallel_cfg(threads, 2));
-        let reference = built.graph.sorted_edges();
-        prop_assert_eq!(built.sorted.len(), built.graph.n_edges());
-        for (a, b) in built.sorted.all().iter().zip(reference.all()) {
-            prop_assert_eq!((a.left, a.right), (b.left, b.right));
-            prop_assert_eq!(a.weight.to_bits(), b.weight.to_bits());
         }
     }
 }

@@ -1,7 +1,8 @@
 //! Kernel-equivalence property suite: the lane-parallel (SWAR) kernels
-//! behind `KernelMode::Lanes` are **bit-identical** to the scalar
-//! kernels they replace — not approximately, not "up to an epsilon",
-//! but the same integers and the same `f64` bit patterns.
+//! the construction engine scores with are **bit-identical** to the
+//! scalar kernels and per-pair measures they stand for — not
+//! approximately, not "up to an epsilon", but the same integers and the
+//! same `f64` bit patterns.
 //!
 //! Layers covered:
 //! * the multi-text Myers batch vs. the scalar bit-parallel pattern
@@ -11,20 +12,20 @@
 //!   per-candidate bound formulas, for all 7 character measures;
 //! * the dimension-blocked semantic kernel (cosine and Euclidean, zero
 //!   guards, signed zeros, extreme components, the gather path) vs. the
-//!   scalar `SemanticMeasure::similarity_vectors`, and the batched
-//!   Euclidean distances plus the operand-order symmetry the WMD cache
-//!   prefill relies on;
-//! * whole graphs: for all 7 character measures and the three semantic
-//!   measures (cosine, Euclidean, Word Mover's), dense and top-k builds
-//!   under `KernelMode::Lanes` equal `KernelMode::Scalar` bit for bit.
+//!   scalar `SemanticMeasure::similarity_vectors`;
+//! * whole graphs: for all 7 character measures, the three semantic
+//!   measures (cosine, Euclidean, Word Mover's) and token-vector cosine,
+//!   dense and top-k builds equal the naive all-pairs reference
+//!   (`common::naive_graph`) bit for bit.
 
-use er_core::SimilarityGraph;
+mod common;
+
 use er_datasets::{EntityCollection, EntityProfile};
 use er_embed::lanes::{self as embed_lanes, Probe, VectorBlocks};
 use er_embed::{DenseVector, EmbeddingModel, SemanticMeasure};
 use er_pipeline::{
-    build_graph_over, build_graph_topk_mode, CandidateMode, KernelMode, PipelineConfig,
-    SemanticScope, SimilarityFunction,
+    build_graph_over, build_graph_topk_mode, CandidateMode, PipelineConfig, SemanticScope,
+    SimilarityFunction,
 };
 use er_textsim::lanes::{
     bag_upper_bounds_from_common, length_upper_bounds, sorted_common_counts, MyersBatch, LANE_WIDTH,
@@ -99,26 +100,11 @@ fn arb_vector(dim: usize) -> impl Strategy<Value = DenseVector> {
     })
 }
 
-fn cfg(kernel: KernelMode) -> PipelineConfig {
+fn cfg() -> PipelineConfig {
     PipelineConfig {
         threads: 1,
         wmd_token_cap: 4,
-        kernel_mode: kernel,
         ..PipelineConfig::default()
-    }
-}
-
-fn assert_bit_identical(a: &SimilarityGraph, b: &SimilarityGraph, what: &str) {
-    assert_eq!(a.n_edges(), b.n_edges(), "{what}: edge count");
-    for (x, y) in a.edges().iter().zip(b.edges()) {
-        assert_eq!((x.left, x.right), (y.left, y.right), "{what}: pair order");
-        assert_eq!(
-            x.weight.to_bits(),
-            y.weight.to_bits(),
-            "{what}: weight bits of ({}, {})",
-            x.left,
-            x.right
-        );
     }
 }
 
@@ -247,43 +233,13 @@ proptest! {
         }
     }
 
-    /// The batched Euclidean distances the WMD cache prefill uses equal
-    /// the scalar `DenseVector` geometry bit for bit, ragged batches
-    /// included. Also pins the symmetry `‖a − b‖ ≡ ‖b − a‖` at the bit
-    /// level: the prefill computes distances probe-first while the
-    /// scalar cache computes them in canonical key order, and this is
-    /// why the two fills agree.
-    #[test]
-    fn euclidean_batch_matches_scalar_bits(
-        a in arb_vector(5),
-        bs in proptest::collection::vec(arb_vector(5), 1..=embed_lanes::LANE_WIDTH),
-    ) {
-        let refs: Vec<&DenseVector> = bs.iter().collect();
-        let mut out = [0.0f64; embed_lanes::LANE_WIDTH];
-        embed_lanes::euclidean_distance_batch(&a, &refs, &mut out);
-        for (l, b) in bs.iter().enumerate() {
-            prop_assert_eq!(
-                out[l].to_bits(),
-                a.euclidean_distance(b).to_bits(),
-                "distance lane {}",
-                l
-            );
-            prop_assert_eq!(
-                a.euclidean_distance(b).to_bits(),
-                b.euclidean_distance(&a).to_bits(),
-                "operand-order symmetry lane {}",
-                l
-            );
-        }
-    }
-
     /// The dimension-blocked kernel the semantic graph builds score with
     /// equals `SemanticMeasure::similarity_vectors` bit for bit, for
     /// cosine and Euclidean: the fastText/ALBERT dimensions and two odd
     /// ones, right-side counts off the lane width (ragged last blocks),
     /// zero vectors (either zero sign) on either side, and extreme
     /// components. The gather path (`push_from` into a one-block
-    /// buffer) and `copy_into` must reproduce the same vectors.
+    /// buffer) must score exactly like the vectors it copied.
     #[test]
     fn blocked_kernel_matches_scalar_bits(
         (a, bs) in proptest::sample::select(vec![1usize, 7, 300, 768]).prop_flat_map(|dim| (
@@ -298,7 +254,6 @@ proptest! {
         prop_assert_eq!(blocks.n_blocks(), bs.len().div_ceil(embed_lanes::LANE_WIDTH));
         let probe = Probe::new(&a);
         let mut out = [0.0f64; embed_lanes::LANE_WIDTH];
-        let mut copy = DenseVector::zeros(0);
         let mut gathered = VectorBlocks::with_capacity(a.dim(), embed_lanes::LANE_WIDTH);
         for m in [SemanticMeasure::Cosine, SemanticMeasure::Euclidean] {
             for block in 0..blocks.n_blocks() {
@@ -332,8 +287,7 @@ proptest! {
                         m.name(),
                         j
                     );
-                    gathered.copy_into(l, &mut copy);
-                    prop_assert_eq!(&copy, &bs[j]);
+                    prop_assert_eq!(gathered.is_zero(l), bs[j].is_zero());
                 }
             }
         }
@@ -345,15 +299,15 @@ proptest! {
     // so fewer, larger cases.
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// End to end: for all 7 character measures and the three semantic
-    /// measures, both the dense build and the pruned top-k build (both
-    /// candidate modes) produce bit-identical graphs under
-    /// `KernelMode::Lanes` and `KernelMode::Scalar`. The unicode
-    /// collections include > 64-char values (multi-block Myers) and
-    /// supplementary-plane chars; right-side counts indivisible by the
-    /// lane width exercise ragged tails through every chunked path.
+    /// End to end: for all 7 character measures, the three semantic
+    /// measures and token-vector cosine, both the dense build and the
+    /// pruned top-k build (both candidate modes) equal the naive
+    /// all-pairs reference bit for bit. The unicode collections include
+    /// > 64-char values (multi-block Myers) and supplementary-plane
+    /// chars; right-side counts indivisible by the lane width exercise
+    /// ragged tails through every chunked path.
     #[test]
-    fn graphs_are_bit_identical_across_kernel_modes(
+    fn graphs_match_the_naive_reference(
         left in arb_unicode_collection(5),
         right in arb_unicode_collection(7),
         k in 1usize..=2,
@@ -387,34 +341,15 @@ proptest! {
             measure: VectorMeasure::CosineTf,
         });
         for function in functions {
-            let dense_scalar =
-                build_graph_over(&left, &right, &function, &cfg(KernelMode::Scalar));
-            let dense_lanes = build_graph_over(&left, &right, &function, &cfg(KernelMode::Lanes));
-            assert_bit_identical(
-                &dense_scalar,
-                &dense_lanes,
-                &format!("{} dense", function.name()),
-            );
+            let reference = common::naive_graph(&left, &right, &function, &cfg());
+            let dense = build_graph_over(&left, &right, &function, &cfg());
+            common::assert_same_edges(&reference, &dense, &format!("{} dense", function.name()));
+            let reference_topk = reference.pruned_top_k(k);
             for mode in [CandidateMode::Enumerated, CandidateMode::Indexed] {
-                let (topk_scalar, _) = build_graph_topk_mode(
-                    &left,
-                    &right,
-                    &function,
-                    k,
-                    mode,
-                    &cfg(KernelMode::Scalar),
-                );
-                let (topk_lanes, _) = build_graph_topk_mode(
-                    &left,
-                    &right,
-                    &function,
-                    k,
-                    mode,
-                    &cfg(KernelMode::Lanes),
-                );
-                assert_bit_identical(
-                    &topk_scalar,
-                    &topk_lanes,
+                let (topk, _) = build_graph_topk_mode(&left, &right, &function, k, mode, &cfg());
+                common::assert_same_edges(
+                    &reference_topk,
+                    &topk,
                     &format!("{} topk k={k} mode={mode:?}", function.name()),
                 );
             }

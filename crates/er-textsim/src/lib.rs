@@ -33,7 +33,7 @@
 //! [`lanes`] holds the lane-parallel (SWAR / array-of-lanes) batch forms
 //! of those kernels — a multi-text [`MyersBatch`] and batched
 //! length/counting-filter screens — bit-identical to the scalar kernels
-//! and selected by the pipeline's `KernelMode`.
+//! and the character measures' production kernels in the pipeline.
 
 pub mod bitpar;
 pub mod charindex;
