@@ -5,11 +5,13 @@
 //! `left` indexes the first clean collection `V1`, `right` indexes the second
 //! clean collection `V2`, and `weight ∈ [0, 1]` is the similarity score.
 //!
-//! Matching algorithms never mutate the graph; they consume an [`Adjacency`]
-//! view (per-node neighbor lists sorted by descending weight) plus the raw
-//! edge list, both built once per graph. For memory-bounded storage and
-//! `O(log d)` pair lookups see [`CsrGraph`](crate::CsrGraph); for bounded
-//! per-row construction see [`TopKBuilder`](crate::TopKBuilder).
+//! Matching algorithms never mutate the graph; they consume a
+//! [`SortedEdges`] view (all edges by descending weight, one key sort)
+//! and the [`Adjacency`] view scattered from it (per-node neighbor lists
+//! by descending weight, no further sort), both built once per graph.
+//! For memory-bounded storage and `O(log d)` pair lookups see
+//! [`CsrGraph`](crate::CsrGraph); for bounded per-row construction see
+//! [`TopKBuilder`](crate::TopKBuilder).
 
 use std::sync::OnceLock;
 
@@ -341,7 +343,8 @@ impl SimilarityGraph {
     }
 
     /// Build the CSR adjacency view (per-node neighbors sorted by descending
-    /// weight with id tie-break).
+    /// weight with id tie-break): one [`SortedEdges`] key sort, then
+    /// [`Adjacency::from_sorted`]'s scatter.
     ///
     /// ```
     /// # use er_core::GraphBuilder;
@@ -351,7 +354,8 @@ impl SimilarityGraph {
     /// assert_eq!(b.build().adjacency().left(0)[0].node, 1);
     /// ```
     pub fn adjacency(&self) -> Adjacency {
-        Adjacency::build(self)
+        let sorted = self.sorted_edges();
+        Adjacency::from_sorted(self.n_left, self.n_right, sorted.all().iter().copied())
     }
 
     /// Build the weight-descending sorted edge view (see [`SortedEdges`]).
@@ -385,6 +389,11 @@ impl SimilarityGraph {
 /// * `at_least(t)` is exactly `{e | e.weight >= t}`, also a prefix, and
 ///   `above(t)` is a prefix of `at_least(t)`.
 ///
+/// Building the view is one bucketed sort of packed `u128` keys (see
+/// [`SortedEdges::from_edges`]), and it is the input the matcher views
+/// start from: [`Adjacency::from_sorted`] scatters it into per-node
+/// lists without sorting again.
+///
 /// ```
 /// use er_core::GraphBuilder;
 ///
@@ -403,7 +412,7 @@ pub struct SortedEdges {
 }
 
 impl SortedEdges {
-    /// Sort the graph's edges once — `O(m log m)`.
+    /// Sort a copy of the graph's edges (see [`SortedEdges::from_edges`]).
     ///
     /// ```
     /// # use er_core::{GraphBuilder, SortedEdges};
@@ -420,15 +429,61 @@ impl SortedEdges {
     /// [`build`](Self::build) on a graph holding the same edges: the sort
     /// key is a total order, so the result is independent of input order.
     ///
+    /// Each edge becomes one `u128` key — the descending
+    /// [`f64::total_cmp`] bits of its weight, then `left`, then `right` —
+    /// whose integer order is exactly [`edge_key_desc`], ties, `0.0`
+    /// versus `-0.0` and every other weight included. One counting pass
+    /// scatters the keys into about `m / 4` buckets by the high bits of
+    /// the weight key within the input's key range, and each bucket is
+    /// then sorted on its own, so spread-out weights sort in near-linear
+    /// time. Equal weights all land in one bucket: the worst case is one
+    /// `O(m log m)` unstable sort. The keys take one transient buffer of
+    /// `16 B` per edge; the edges are decoded back in place.
+    ///
     /// ```
     /// # use er_core::{Edge, SortedEdges};
     /// let s = SortedEdges::from_edges(vec![Edge::new(0, 0, 0.2), Edge::new(1, 1, 0.9)]);
     /// assert_eq!(s.all()[0].weight, 0.9);
     /// ```
+    ///
+    /// [`edge_key_desc`]: crate::float::edge_key_desc
     pub fn from_edges(mut edges: Vec<Edge>) -> Self {
-        edges.sort_by(|a, b| {
-            crate::float::edge_key_desc((a.weight, a.left, a.right), (b.weight, b.left, b.right))
+        if edges.len() < 2 {
+            return SortedEdges { edges };
+        }
+        let (lo, hi) = edges.iter().fold((u64::MAX, 0), |(lo, hi), e| {
+            let k = weight_key_desc(e.weight);
+            (lo.min(k), hi.max(k))
         });
+        // Bucket by the top `bits` bits of the key offset, with
+        // `2 <= 2^bits <= max(m / 4, 2)`, so `shift < 64`.
+        let bits = (edges.len() / 4).max(2).ilog2();
+        let shift = (u64::BITS - (hi - lo).leading_zeros()).saturating_sub(bits);
+        let bucket = |e: &Edge| ((weight_key_desc(e.weight) - lo) >> shift) as usize;
+        // `next[b]` starts as bucket `b`'s first slot and, once every key
+        // is placed, ends one past its last, where bucket `b + 1` begins.
+        let mut next = vec![0usize; ((hi - lo) >> shift) as usize + 2];
+        for e in &edges {
+            next[bucket(e) + 1] += 1;
+        }
+        for i in 1..next.len() {
+            next[i] += next[i - 1];
+        }
+        let mut keys = vec![0u128; edges.len()];
+        for e in &edges {
+            let b = bucket(e);
+            keys[next[b]] = edge_key(e);
+            next[b] += 1;
+        }
+        next.pop();
+        let mut start = 0;
+        for end in next {
+            keys[start..end].sort_unstable();
+            start = end;
+        }
+        for (e, &k) in edges.iter_mut().zip(&keys) {
+            *e = edge_from_key(k);
+        }
         SortedEdges { edges }
     }
 
@@ -690,7 +745,9 @@ pub struct Neighbor {
 ///
 /// Neighbor lists are sorted by **descending weight**, breaking ties by
 /// ascending node id — the deterministic order every matching algorithm
-/// iterates candidates in.
+/// iterates candidates in. The one constructor,
+/// [`Adjacency::from_sorted`], gets that order for free from an edge
+/// stream already in [`SortedEdges`] order.
 ///
 /// ```
 /// use er_core::GraphBuilder;
@@ -710,77 +767,79 @@ pub struct Adjacency {
 }
 
 impl Adjacency {
-    fn build(g: &SimilarityGraph) -> Self {
-        Self::from_edges(g.n_left, g.n_right, g.edges())
-    }
-
-    /// Build the adjacency view directly from an edge list with explicit
-    /// dimensions — the store-agnostic entry used to index a
-    /// [`CsrGraph`](crate::CsrGraph) without materializing a
-    /// `SimilarityGraph` first. Equivalent to `g.adjacency()` for a graph
-    /// holding the same edges in **any** order: each node's slice is
-    /// re-sorted by the deterministic (weight desc, id asc) total order.
-    /// Callers are responsible for the ids being in bounds.
+    /// Build both sides from `edges` **in [`edge_key_desc`] order**
+    /// (weight descending, then `(left, right)` ascending) — the order of
+    /// [`SortedEdges::all`] and of a mapped store's sort-order column.
+    ///
+    /// Two counting scatters and no per-node sort: one pass counts the
+    /// degrees of both sides, a second appends each edge to its left and
+    /// its right node's list. Scattering a stream in that order leaves
+    /// each left node's list ordered by (weight desc, right asc) and each
+    /// right node's by (weight desc, left asc), which is the adjacency
+    /// order. The iterator is walked twice. Callers are responsible for
+    /// the ids being in bounds; debug builds check the order.
     ///
     /// ```
     /// # use er_core::{Adjacency, Edge};
-    /// let adj = Adjacency::from_edges(2, 2, &[Edge::new(1, 0, 0.8)]);
+    /// let sorted = [Edge::new(1, 0, 0.8), Edge::new(0, 0, 0.5)];
+    /// let adj = Adjacency::from_sorted(2, 2, sorted.iter().copied());
     /// assert_eq!(adj.right(0)[0].node, 1);
+    /// assert_eq!(adj.right(0)[1].node, 0);
     /// ```
-    pub fn from_edges(n_left: u32, n_right: u32, edges: &[Edge]) -> Self {
-        let (left_offsets, left_neighbors) =
-            Self::build_side(n_left as usize, edges, |e| (e.left, e.right));
-        let (right_offsets, right_neighbors) =
-            Self::build_side(n_right as usize, edges, |e| (e.right, e.left));
-        Adjacency {
+    ///
+    /// [`edge_key_desc`]: crate::float::edge_key_desc
+    pub fn from_sorted<I>(n_left: u32, n_right: u32, edges: I) -> Self
+    where
+        I: IntoIterator<Item = Edge>,
+        I::IntoIter: Clone,
+    {
+        let edges = edges.into_iter();
+        let mut left_offsets = vec![0u32; n_left as usize + 1];
+        let mut right_offsets = vec![0u32; n_right as usize + 1];
+        for e in edges.clone() {
+            left_offsets[e.left as usize + 1] += 1;
+            right_offsets[e.right as usize + 1] += 1;
+        }
+        for offsets in [&mut left_offsets, &mut right_offsets] {
+            for i in 1..offsets.len() {
+                offsets[i] += offsets[i - 1];
+            }
+        }
+        let empty = Neighbor {
+            node: 0,
+            weight: 0.0,
+        };
+        let m = left_offsets[n_left as usize] as usize;
+        let mut left_neighbors = vec![empty; m];
+        let mut right_neighbors = vec![empty; m];
+        let mut left_cursor = left_offsets.clone();
+        let mut right_cursor = right_offsets.clone();
+        for e in edges {
+            let slot = &mut left_cursor[e.left as usize];
+            left_neighbors[*slot as usize] = Neighbor {
+                node: e.right,
+                weight: e.weight,
+            };
+            *slot += 1;
+            let slot = &mut right_cursor[e.right as usize];
+            right_neighbors[*slot as usize] = Neighbor {
+                node: e.left,
+                weight: e.weight,
+            };
+            *slot += 1;
+        }
+        let adj = Adjacency {
             left_offsets,
             left_neighbors,
             right_offsets,
             right_neighbors,
-        }
-    }
-
-    fn build_side(
-        n: usize,
-        edges: &[Edge],
-        key: impl Fn(&Edge) -> (u32, u32),
-    ) -> (Vec<u32>, Vec<Neighbor>) {
-        // Counting sort into CSR: first pass counts degrees, second scatters.
-        let mut counts = vec![0u32; n + 1];
-        for e in edges {
-            counts[key(e).0 as usize + 1] += 1;
-        }
-        for i in 1..counts.len() {
-            counts[i] += counts[i - 1];
-        }
-        let offsets = counts.clone();
-        let mut cursor = counts;
-        let mut neighbors = vec![
-            Neighbor {
-                node: 0,
-                weight: 0.0
-            };
-            edges.len()
-        ];
-        for e in edges {
-            let (from, to) = key(e);
-            let slot = cursor[from as usize] as usize;
-            neighbors[slot] = Neighbor {
-                node: to,
-                weight: e.weight,
-            };
-            cursor[from as usize] += 1;
-        }
-        // Sort each node's slice: weight desc, node id asc.
-        for i in 0..n {
-            let (s, e) = (offsets[i] as usize, offsets[i + 1] as usize);
-            neighbors[s..e].sort_by(|a, b| {
-                b.weight
-                    .total_cmp(&a.weight)
-                    .then_with(|| a.node.cmp(&b.node))
-            });
-        }
-        (offsets, neighbors)
+        };
+        debug_assert!(
+            (0..n_left).all(|i| is_adjacency_ordered(adj.left(i)))
+                && (0..n_right).all(|j| is_adjacency_ordered(adj.right(j))),
+            "Adjacency::from_sorted needs edges in edge_key_desc order"
+        );
+        adj
     }
 
     /// Total resident neighbor entries across both sides — `2 × n_edges`
@@ -788,7 +847,7 @@ impl Adjacency {
     ///
     /// ```
     /// # use er_core::{Adjacency, Edge};
-    /// let adj = Adjacency::from_edges(2, 2, &[Edge::new(1, 0, 0.8)]);
+    /// let adj = Adjacency::from_sorted(2, 2, [Edge::new(1, 0, 0.8)]);
     /// assert_eq!(adj.n_entries(), 2);
     /// ```
     #[inline]
@@ -905,12 +964,66 @@ impl Adjacency {
     }
 }
 
+/// Whether `ns` descends by weight with ascending node ids on ties.
+fn is_adjacency_ordered(ns: &[Neighbor]) -> bool {
+    ns.windows(2).all(|w| {
+        w[1].weight
+            .total_cmp(&w[0].weight)
+            .then_with(|| w[0].node.cmp(&w[1].node))
+            .is_lt()
+    })
+}
+
 fn avg(ns: &[Neighbor]) -> f64 {
     if ns.is_empty() {
         0.0
     } else {
         ns.iter().map(|n| n.weight).sum::<f64>() / ns.len() as f64
     }
+}
+
+/// The weight's [`f64::total_cmp`] rank, reversed: a larger weight maps
+/// to a smaller key. Flipping the sign bit of a non-negative value and
+/// every bit of a negative one turns the IEEE bits into an unsigned
+/// integer in `total_cmp` order; the final `!` makes it descending.
+#[inline]
+fn weight_key_desc(w: f64) -> u64 {
+    let bits = w.to_bits();
+    let ascending = if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    };
+    !ascending
+}
+
+/// Inverse of [`weight_key_desc`], bit for bit.
+#[inline]
+fn weight_from_key_desc(key: u64) -> f64 {
+    let ascending = !key;
+    f64::from_bits(if ascending >> 63 == 1 {
+        ascending & !(1 << 63)
+    } else {
+        !ascending
+    })
+}
+
+/// An edge packed so that integer order is [`edge_key_desc`] order.
+///
+/// [`edge_key_desc`]: crate::float::edge_key_desc
+#[inline]
+fn edge_key(e: &Edge) -> u128 {
+    (weight_key_desc(e.weight) as u128) << 64 | (e.left as u128) << 32 | e.right as u128
+}
+
+/// Inverse of [`edge_key`].
+#[inline]
+fn edge_from_key(k: u128) -> Edge {
+    Edge::new(
+        (k >> 32) as u32,
+        k as u32,
+        weight_from_key_desc((k >> 64) as u64),
+    )
 }
 
 /// Counting-sort `edges` into per-left-row groups: returns the row

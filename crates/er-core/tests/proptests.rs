@@ -1,8 +1,17 @@
 //! Property tests for the core substrate.
+//!
+//! The matcher views are checked against the textbook paths they
+//! replace, kept here as test-side references: a comparator sort by
+//! `edge_key_desc` for [`SortedEdges::from_edges`]'s bucketed key sort,
+//! and a per-node sort of each neighbor list for the scatter-only
+//! [`Adjacency::from_sorted`]. The tie-heavy strategy draws most weights
+//! from {-0.0, 0.0, 0.25, 0.5, 1.0}, so equal weights, the sign of zero
+//! and the id tie-breaks decide most comparisons.
 
+use er_core::float::edge_key_desc;
 use er_core::{
-    min_max_normalize, Edge, GraphBuilder, GroundTruth, Matching, SimilarityGraph, ThresholdGrid,
-    UnionFind,
+    min_max_normalize, Adjacency, Edge, GraphBuilder, GroundTruth, Matching, Neighbor,
+    SimilarityGraph, SortedEdges, ThresholdGrid, UnionFind,
 };
 use proptest::prelude::*;
 
@@ -20,26 +29,186 @@ fn arb_graph() -> impl Strategy<Value = SimilarityGraph> {
     })
 }
 
+/// The tied weights; `-0.0` and `0.0` are distinct under `total_cmp`.
+const TIES: [f64; 5] = [-0.0, 0.0, 0.25, 0.5, 1.0];
+
+/// Five draws in seven come from [`TIES`], the rest are uniform.
+fn arb_tie_weight() -> impl Strategy<Value = f64> {
+    (0usize..7, 0.0f64..=1.0).prop_map(|(i, w)| TIES.get(i).copied().unwrap_or(w))
+}
+
+/// Graphs with few nodes and tie-heavy weights: most neighbor lists hold
+/// several equal weights.
+fn arb_tie_graph() -> impl Strategy<Value = SimilarityGraph> {
+    (1u32..12, 1u32..12).prop_flat_map(|(nl, nr)| {
+        proptest::collection::btree_map((0..nl, 0..nr), arb_tie_weight(), 0..80).prop_map(
+            move |edges| {
+                let mut b = GraphBuilder::new(nl, nr);
+                for ((l, r), w) in edges {
+                    b.add_edge(l, r, w).unwrap();
+                }
+                b.build()
+            },
+        )
+    })
+}
+
+/// Raw edge lists beyond what a graph admits: repeated pairs and any
+/// weight bits (negative, above 1, infinite, NaN) besides the ties.
+fn arb_raw_edges() -> impl Strategy<Value = Vec<Edge>> {
+    proptest::collection::vec((0u32..6, 0u32..6, 0usize..8, 0u64..u64::MAX), 0..120).prop_map(
+        |cells| {
+            cells
+                .into_iter()
+                .map(|(l, r, i, bits)| {
+                    Edge::new(l, r, TIES.get(i).copied().unwrap_or(f64::from_bits(bits)))
+                })
+                .collect()
+        },
+    )
+}
+
+/// A seeded Fisher–Yates shuffle (xorshift64).
+fn shuffled(mut edges: Vec<Edge>, seed: u64) -> Vec<Edge> {
+    let mut x = seed | 1;
+    for i in (1..edges.len()).rev() {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        edges.swap(i, (x % (i as u64 + 1)) as usize);
+    }
+    edges
+}
+
+/// Edges as `(left, right, weight bits)`: equality is bit equality.
+fn bits(edges: &[Edge]) -> Vec<(u32, u32, u64)> {
+    edges
+        .iter()
+        .map(|e| (e.left, e.right, e.weight.to_bits()))
+        .collect()
+}
+
+/// Reference sort: the comparator the key sort replaces.
+fn comparator_sorted(mut edges: Vec<Edge>) -> Vec<Edge> {
+    edges.sort_by(|a, b| edge_key_desc((a.weight, a.left, a.right), (b.weight, b.left, b.right)));
+    edges
+}
+
+/// Reference adjacency side: group by `key(e).0`, then sort each list by
+/// weight descending (`total_cmp`), node ascending.
+fn per_node_sorted(
+    n: u32,
+    edges: &[Edge],
+    key: impl Fn(&Edge) -> (u32, u32),
+) -> Vec<Vec<(u32, u64)>> {
+    let mut lists = vec![Vec::new(); n as usize];
+    for e in edges {
+        let (from, to) = key(e);
+        lists[from as usize].push((to, e.weight));
+    }
+    lists
+        .into_iter()
+        .map(|mut ns| {
+            ns.sort_by(|a: &(u32, f64), b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+            ns.into_iter()
+                .map(|(node, w)| (node, w.to_bits()))
+                .collect()
+        })
+        .collect()
+}
+
+fn neighbor_bits(ns: &[Neighbor]) -> Vec<(u32, u64)> {
+    ns.iter().map(|n| (n.node, n.weight.to_bits())).collect()
+}
+
+/// Both sides of `adj` equal the per-node-sort reference, bit for bit.
+fn assert_adjacency_matches_reference(adj: &Adjacency, g: &SimilarityGraph) {
+    let left = per_node_sorted(g.n_left(), g.edges(), |e| (e.left, e.right));
+    for (i, want) in left.iter().enumerate() {
+        prop_assert_eq!(&neighbor_bits(adj.left(i as u32)), want, "left node {}", i);
+    }
+    let right = per_node_sorted(g.n_right(), g.edges(), |e| (e.right, e.left));
+    for (j, want) in right.iter().enumerate() {
+        prop_assert_eq!(
+            &neighbor_bits(adj.right(j as u32)),
+            want,
+            "right node {}",
+            j
+        );
+    }
+}
+
+/// Every edge appears exactly once per side, and each list descends by
+/// weight (`total_cmp`, so `0.0` precedes `-0.0`) with ascending ids on
+/// equal weights.
+fn assert_adjacency_complete_and_sorted(g: &SimilarityGraph) {
+    let adj = g.adjacency();
+    let mut count = 0usize;
+    for i in 0..g.n_left() {
+        let ns = adj.left(i);
+        count += ns.len();
+        for w in ns.windows(2) {
+            prop_assert!(
+                w[1].weight
+                    .total_cmp(&w[0].weight)
+                    .then_with(|| w[0].node.cmp(&w[1].node))
+                    .is_lt(),
+                "left adjacency must be sorted desc with id tiebreak"
+            );
+        }
+    }
+    prop_assert_eq!(count, g.n_edges());
+    let right_count: usize = (0..g.n_right()).map(|j| adj.right(j).len()).sum();
+    prop_assert_eq!(right_count, g.n_edges());
+}
+
 proptest! {
     #[test]
     fn adjacency_is_complete_and_sorted(g in arb_graph()) {
-        let adj = g.adjacency();
-        // Every edge appears exactly once per side.
-        let mut count = 0usize;
-        for i in 0..g.n_left() {
-            let ns = adj.left(i);
-            count += ns.len();
-            for w in ns.windows(2) {
-                prop_assert!(
-                    w[0].weight > w[1].weight
-                        || (w[0].weight == w[1].weight && w[0].node < w[1].node),
-                    "left adjacency must be sorted desc with id tiebreak"
-                );
-            }
-        }
-        prop_assert_eq!(count, g.n_edges());
-        let right_count: usize = (0..g.n_right()).map(|j| adj.right(j).len()).sum();
-        prop_assert_eq!(right_count, g.n_edges());
+        assert_adjacency_complete_and_sorted(&g);
+    }
+
+    #[test]
+    fn adjacency_is_complete_and_sorted_under_ties(g in arb_tie_graph()) {
+        assert_adjacency_complete_and_sorted(&g);
+    }
+
+    #[test]
+    fn key_sort_equals_comparator_sort_under_any_permutation(
+        g in arb_tie_graph(),
+        seed in 0u64..u64::MAX,
+    ) {
+        let want = bits(&comparator_sorted(g.edges().to_vec()));
+        prop_assert_eq!(&bits(g.sorted_edges().all()), &want);
+        let input = shuffled(g.edges().to_vec(), seed);
+        prop_assert_eq!(&bits(SortedEdges::from_edges(input).all()), &want);
+        let mut reversed = g.edges().to_vec();
+        reversed.reverse();
+        prop_assert_eq!(&bits(SortedEdges::from_edges(reversed).all()), &want);
+    }
+
+    #[test]
+    fn key_sort_equals_comparator_sort_on_raw_edges(
+        edges in arb_raw_edges(),
+        seed in 0u64..u64::MAX,
+    ) {
+        let want = bits(&comparator_sorted(edges.clone()));
+        prop_assert_eq!(&bits(SortedEdges::from_edges(edges.clone()).all()), &want);
+        prop_assert_eq!(&bits(SortedEdges::from_edges(shuffled(edges, seed)).all()), &want);
+    }
+
+    #[test]
+    fn scatter_adjacency_equals_per_node_sort(g in arb_tie_graph(), seed in 0u64..u64::MAX) {
+        assert_adjacency_matches_reference(&g.adjacency(), &g);
+        let sorted = SortedEdges::from_edges(shuffled(g.edges().to_vec(), seed));
+        let adj = Adjacency::from_sorted(g.n_left(), g.n_right(), sorted.all().iter().copied());
+        assert_adjacency_matches_reference(&adj, &g);
+        prop_assert_eq!(adj.n_entries(), 2 * g.n_edges());
+    }
+
+    #[test]
+    fn scatter_adjacency_equals_per_node_sort_on_spread_weights(g in arb_graph()) {
+        assert_adjacency_matches_reference(&g.adjacency(), &g);
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //! * each `(algorithm, basis)` unit walks the grid in *descending*
 //!   threshold order through an [`er_matchers::ThresholdSweeper`], so
 //!   "edges above t" is a prefix slice of the prepared graph's sorted edge
-//!   view and greedy matchers resume the previous grid point's state
-//!   instead of restarting;
+//!   view and the UMC, CNC and BAH sweepers carry the previous grid
+//!   point's state over instead of restarting;
 //! * the units fan out over `std::thread::scope` worker threads (the same
 //!   worker-pool pattern as `er-pipeline`'s corpus runner).
 //!

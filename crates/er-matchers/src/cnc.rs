@@ -6,7 +6,9 @@
 //! collection. Larger components are dropped entirely (the paper's Figure 1
 //! example: the 4-node component `{A1, B1, A5, B3}` produces no output).
 //!
-//! Complexity: `O(m · α(n))` with union-find ≈ `O(m)`.
+//! Complexity: `O(m · α(n))` with union-find ≈ `O(m)`. Threshold sweeps
+//! go through [`crate::sweeper::CncSweeper`], which keeps the union-find
+//! across grid points; this from-scratch run is its reference.
 
 use er_core::{Matching, UnionFind};
 

@@ -56,7 +56,7 @@ pub use qlearn::{QLearnConfig, QMatcher};
 pub use rca::Rca;
 pub use registry::{AlgorithmConfig, AlgorithmKind};
 pub use rsr::Rsr;
-pub use sweeper::{BahSweeper, RestartSweeper, ThresholdSweeper, UmcSweeper};
+pub use sweeper::{BahSweeper, CncSweeper, RestartSweeper, ThresholdSweeper, UmcSweeper};
 pub use umc::{Umc, UmcStrategy};
 
 #[cfg(test)]

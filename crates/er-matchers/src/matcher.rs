@@ -152,6 +152,7 @@ impl<'a> EdgeSeq<'a> {
 }
 
 /// Iterator over an [`EdgeSeq`], yielding [`Edge`]s by value.
+#[derive(Clone)]
 pub struct EdgeSeqIter<'a> {
     seq: EdgeSeq<'a>,
     cur: usize,
@@ -224,7 +225,14 @@ pub struct PreparedGraph<'g> {
 }
 
 impl<'g> PreparedGraph<'g> {
-    fn with_ram_views(graph: GraphStore<'g>, adjacency: Adjacency, sorted: SortedEdges) -> Self {
+    /// Both views resident: the adjacency is scattered from `sorted`
+    /// right away, so RAM stores pay for it at preparation time.
+    fn with_ram_views(graph: GraphStore<'g>, sorted: SortedEdges) -> Self {
+        let adjacency = Adjacency::from_sorted(
+            graph.n_left(),
+            graph.n_right(),
+            sorted.all().iter().copied(),
+        );
         let lock = OnceLock::new();
         let _ = lock.set(adjacency);
         PreparedGraph {
@@ -234,18 +242,17 @@ impl<'g> PreparedGraph<'g> {
         }
     }
 
-    /// Build the adjacency and sorted-edge views for `graph`.
+    /// Build the sorted-edge view for `graph` (one key sort), then the
+    /// adjacency from it (see [`PreparedGraph::from_sorted`]).
     pub fn new(graph: &'g SimilarityGraph) -> Self {
-        Self::with_ram_views(
-            GraphStore::Graph(graph),
-            graph.adjacency(),
-            graph.sorted_edges(),
-        )
+        Self::from_sorted(graph, graph.sorted_edges())
     }
 
-    /// Wrap a graph together with a sorted edge view built elsewhere —
-    /// e.g. one kept from an earlier preparation — skipping the
-    /// `O(m log m)` re-sort [`PreparedGraph::new`] would pay.
+    /// Wrap a graph together with its sorted edge view — built just
+    /// before, or kept from an earlier preparation — and scatter the
+    /// adjacency straight from that view
+    /// ([`Adjacency::from_sorted`]: two linear passes, no sort). With a
+    /// kept view this skips the key sort [`PreparedGraph::new`] pays.
     ///
     /// `sorted` must be the weight-descending view of exactly `graph`'s
     /// edge set (debug builds verify the edge count and the descending
@@ -260,7 +267,7 @@ impl<'g> PreparedGraph<'g> {
             sorted.all().windows(2).all(|w| w[0].weight >= w[1].weight),
             "sorted view must descend by weight"
         );
-        Self::with_ram_views(GraphStore::Graph(graph), graph.adjacency(), sorted)
+        Self::with_ram_views(GraphStore::Graph(graph), sorted)
     }
 
     /// Prepare a graph held in the compact CSR store **natively**: build
@@ -270,9 +277,9 @@ impl<'g> PreparedGraph<'g> {
     /// the views, so a store with pending deltas is matched as-is.
     ///
     /// The views are identical to [`PreparedGraph::new`] on the expanded
-    /// graph — the sorted view's key and the adjacency's per-node sort
-    /// are deterministic total orders, so the input edge order is
-    /// irrelevant — while resident memory drops by the expanded graph's
+    /// graph — the sorted view's key is a total order, so the input edge
+    /// order is irrelevant, and the adjacency is scattered from that
+    /// view — while resident memory drops by the expanded graph's
     /// `16 B/edge` triples plus its dedup index.
     ///
     /// ```
@@ -289,8 +296,7 @@ impl<'g> PreparedGraph<'g> {
     /// ```
     pub fn from_csr(csr: &CsrGraph) -> PreparedGraph<'_> {
         let sorted = SortedEdges::from_edges(csr.iter().collect());
-        let adjacency = Adjacency::from_edges(csr.n_left(), csr.n_right(), sorted.all());
-        PreparedGraph::with_ram_views(GraphStore::Csr(csr), adjacency, sorted)
+        PreparedGraph::with_ram_views(GraphStore::Csr(csr), sorted)
     }
 
     /// Prepare a **file-backed** columnar store ([`MappedCsr`]) without
@@ -393,23 +399,15 @@ impl<'g> PreparedGraph<'g> {
     }
 
     /// The adjacency view (neighbors sorted by descending weight).
-    /// Built lazily — and thread-safely — for mapped stores: the
-    /// construction pass streams the file once and drops the transient
-    /// edge list, so only algorithms that actually consume adjacency
-    /// pay for it.
+    /// Built lazily — and thread-safely — for mapped stores, by
+    /// scattering [`PreparedGraph::edges_all`] (for a version-2 file, its
+    /// sort-order column, decoded straight from the map) with
+    /// [`Adjacency::from_sorted`], so only algorithms that actually
+    /// consume adjacency pay for it. RAM stores build it at preparation.
     #[inline]
     pub fn adjacency(&self) -> &Adjacency {
-        self.adjacency.get_or_init(|| match self.graph {
-            GraphStore::Graph(g) => g.adjacency(),
-            GraphStore::Csr(c) => {
-                let edges: Vec<Edge> = c.iter().collect();
-                Adjacency::from_edges(c.n_left(), c.n_right(), &edges)
-            }
-            GraphStore::Mapped(m) => {
-                let edges: Vec<Edge> = m.iter().collect();
-                Adjacency::from_edges(m.n_left(), m.n_right(), &edges)
-            }
-        })
+        self.adjacency
+            .get_or_init(|| Adjacency::from_sorted(self.n_left(), self.n_right(), self.edges_all()))
     }
 
     /// The full weight-descending edge sequence.

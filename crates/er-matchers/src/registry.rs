@@ -19,7 +19,7 @@ use crate::krc::Krc;
 use crate::matcher::{Matcher, PreparedGraph};
 use crate::rca::Rca;
 use crate::rsr::Rsr;
-use crate::sweeper::{BahSweeper, RestartSweeper, ThresholdSweeper, UmcSweeper};
+use crate::sweeper::{BahSweeper, CncSweeper, RestartSweeper, ThresholdSweeper, UmcSweeper};
 use crate::umc::Umc;
 
 /// The eight bipartite graph matching algorithms of the paper, in its
@@ -212,13 +212,15 @@ impl AlgorithmConfig {
     }
 
     /// Instantiate the **incremental descending-threshold sweeper** for
-    /// `kind` (see [`crate::sweeper`]): UMC resumes its greedy scan, BAH
+    /// `kind` (see [`crate::sweeper`]): UMC resumes its greedy scan, CNC
+    /// keeps its union-find and unions only the newly retained edges, BAH
     /// maintains its contribution map, everything else restarts per grid
     /// point with an unchanged-prefix memo. Result-equivalent to calling
     /// [`Matcher::run`] fresh at every threshold.
     pub fn sweeper(&self, kind: AlgorithmKind) -> Box<dyn ThresholdSweeper> {
         match kind {
             AlgorithmKind::Umc => Box::new(UmcSweeper::new()),
+            AlgorithmKind::Cnc => Box::new(CncSweeper::new()),
             AlgorithmKind::Bah => Box::new(BahSweeper::new(self.bah)),
             _ => Box::new(RestartSweeper::new(self.build(kind))),
         }

@@ -14,6 +14,14 @@
 //!   sorted-view order, so its entire state (cursor + matched flags +
 //!   emitted pairs) carries over: a full 20-point sweep costs one `O(m)`
 //!   pass total instead of 20.
+//! * [`CncSweeper`] — CNC's retained set is the *inclusive* prefix, and
+//!   connectivity only grows with it: a union-find carries over between
+//!   grid points and unions only the newly retained edges. A component
+//!   that is exactly one {left, right} pair holds exactly one edge (the
+//!   graph is simple and bipartite), so the live pairs are the edges
+//!   that joined two singletons and whose component has not grown
+//!   since; once grown, a component never shrinks back to a pair. A
+//!   full sweep costs one union-find pass over the edges instead of 20.
 //! * [`BahSweeper`] — BAH's swap search must restart per threshold to stay
 //!   equivalent to the protocol (its RNG stream starts fresh each run), but
 //!   its edge-contribution map is maintained incrementally from the sorted
@@ -29,7 +37,7 @@
 //! [`Matcher::run`] fresh at each threshold; `er-eval`'s property tests
 //! enforce this for all eight algorithms.
 
-use er_core::{FxHashMap, Matching};
+use er_core::{FxHashMap, Matching, UnionFind};
 
 use crate::bah::{self, BahConfig};
 use crate::matcher::{Matcher, PreparedGraph};
@@ -133,6 +141,56 @@ impl ThresholdSweeper for UmcSweeper {
     }
 }
 
+/// Incremental CNC: one union-find over `V1 ∪ V2` (right node `j` is id
+/// `n_left + j`, as in [`crate::Cnc`]) lives across grid points, and each
+/// step unions only the edges the inclusive prefix gained.
+///
+/// `pairs` holds the candidates for output: every edge that joined two
+/// singletons into a 2-node component. Such a component is exactly the
+/// pair {left, right} with its one edge; a later union that grows it
+/// retires the pair for good, since component sizes never shrink. Each
+/// step drops the retired candidates (those whose left node's component
+/// outgrew 2) and emits the rest.
+#[derive(Default)]
+pub struct CncSweeper {
+    uf: Option<UnionFind>,
+    cursor: usize,
+    pairs: Vec<(u32, u32)>,
+}
+
+impl CncSweeper {
+    /// A fresh sweeper (state initializes on the first step).
+    pub fn new() -> Self {
+        Self::default()
+    }
+}
+
+impl ThresholdSweeper for CncSweeper {
+    fn name(&self) -> &'static str {
+        "CNC"
+    }
+
+    fn step(&mut self, g: &PreparedGraph<'_>, t: f64) -> Matching {
+        let n_left = g.n_left();
+        let uf = self
+            .uf
+            .get_or_insert_with(|| UnionFind::new(n_left as usize + g.n_right() as usize));
+        let retained = g.edges_at_least(t);
+        debug_assert!(
+            self.cursor <= retained.len(),
+            "thresholds must be non-increasing"
+        );
+        for e in retained.tail(self.cursor) {
+            if uf.union(e.left, n_left + e.right) && uf.set_size(e.left) == 2 {
+                self.pairs.push((e.left, e.right));
+            }
+        }
+        self.cursor = retained.len();
+        self.pairs.retain(|&(l, _)| uf.set_size(l) == 2);
+        Matching::new(self.pairs.clone())
+    }
+}
+
 /// Incremental BAH: maintains the edge-contribution map across grid points
 /// (new edges stream in from the sorted cursor) and memoizes on the prefix
 /// length; the seeded swap search itself restarts per threshold so that
@@ -228,6 +286,44 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A graph in which lower-weight edges merge existing pairs: (0, 1)
+    /// joins the pairs {0, 0} and {1, 1}, (2, 3) joins {2, 2} and
+    /// {3, 3}. The (2, 2) edge weighs exactly the grid value `11 × 0.05`,
+    /// so the inclusive cut-off decides whether it is retained.
+    fn merging_pairs() -> er_core::SimilarityGraph {
+        let mut b = er_core::GraphBuilder::new(4, 4);
+        b.add_edge(0, 0, 0.9).unwrap();
+        b.add_edge(1, 1, 0.8).unwrap();
+        b.add_edge(2, 2, 11.0 * 0.05).unwrap();
+        b.add_edge(0, 1, 0.4).unwrap();
+        b.add_edge(3, 3, 0.3).unwrap();
+        b.add_edge(2, 3, 0.12).unwrap();
+        b.build()
+    }
+
+    #[test]
+    fn cnc_sweeper_matches_cnc_at_every_grid_point() {
+        let grid = ThresholdGrid::paper();
+        for g in [figure1(), diamond(), merging_pairs()] {
+            let pg = PreparedGraph::new(&g);
+            let mut s = CncSweeper::new();
+            assert_eq!(s.name(), "CNC");
+            for t in grid.values_desc() {
+                assert_eq!(s.step(&pg, t), crate::Cnc.run(&pg, t), "t={t}");
+            }
+        }
+        // The merge graph passes through each state the sweeper tracks.
+        let g = merging_pairs();
+        let pg = PreparedGraph::new(&g);
+        let mut s = CncSweeper::new();
+        let at = |s: &mut CncSweeper, i: u32| s.step(&pg, i as f64 * 0.05);
+        assert_eq!(at(&mut s, 12).pairs(), &[(0, 0), (1, 1)]);
+        assert_eq!(at(&mut s, 11).pairs(), &[(0, 0), (1, 1), (2, 2)]);
+        assert_eq!(at(&mut s, 8).pairs(), &[(2, 2)], "(0, 1) merged two pairs");
+        assert_eq!(at(&mut s, 5).pairs(), &[(2, 2), (3, 3)]);
+        assert!(at(&mut s, 2).is_empty(), "(2, 3) merged the last two");
     }
 
     #[test]

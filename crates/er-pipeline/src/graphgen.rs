@@ -458,7 +458,11 @@ pub struct TopKStats {
 /// `restrict_graph(build_graph_over(..), candidates)`'s. (With the
 /// positivity filter off, zero-scored candidate pairs are additionally
 /// retained here — the inverted-index full build cannot enumerate
-/// non-term-sharing pairs at all.) Min-max normalization runs over the
+/// non-term-sharing pairs at all.) In the n-gram branches a candidate
+/// pair of two profiles with no terms (no graph edges) is skipped, as
+/// the inverted-index builds never enumerate it: the measures' empty
+/// conventions would otherwise score it 1, a max-weight edge. Min-max
+/// normalization runs over the
 /// *restricted* score set — exactly what a pipeline that blocks before
 /// scoring would see — so absolute weights can differ from the
 /// build-full-then-restrict flow, which normalizes over the full graph
@@ -1870,7 +1874,14 @@ impl RowScorer for VectorScorer {
         _scratch: &mut ProbeScratch,
         out: &mut O,
     ) {
+        // Two term-less profiles share no term, so the inverted index
+        // never enumerates them, whatever the measure's empty-vs-empty
+        // convention would score.
+        let left_empty = self.left_vecs[row].is_empty();
         for &j in cands.row(row as u32) {
+            if left_empty && self.right_vecs[j as usize].is_empty() {
+                continue;
+            }
             self.score_pair(row, j, out);
         }
     }
@@ -1968,6 +1979,10 @@ impl RowScorer for GraphModelScorer {
     ) {
         let lg = &self.left_graphs[row];
         for &j in cands.row(row as u32) {
+            // As for vectors: two edge-less graphs are never enumerated.
+            if lg.is_empty() && self.right_graphs[j as usize].is_empty() {
+                continue;
+            }
             out.note_generated();
             let w = self.measure.similarity(lg, &self.right_graphs[j as usize]);
             out.note_scored();
@@ -2764,6 +2779,53 @@ mod tests {
         );
         assert!(!direct.is_empty());
         weights_in_bounds(&direct);
+    }
+
+    #[test]
+    fn restricted_build_skips_pairs_of_term_less_profiles() {
+        // Regression: a candidate pair of two profiles with no terms was
+        // scored by the measures' empty-vs-empty convention (1.0), a
+        // max-weight edge the full inverted-index build never has.
+        let collection = |texts: &[&str]| EntityCollection {
+            profiles: texts
+                .iter()
+                .enumerate()
+                .map(|(i, t)| EntityProfile::new(i as u32, vec![("name".into(), (*t).into())]))
+                .collect(),
+            attribute_names: vec!["name".into()],
+        };
+        let left = collection(&["alpha beta", "", "gamma"]);
+        let right = collection(&["alpha beta", "gamma delta", ""]);
+        let candidates: FxHashSet<(u32, u32)> = [(0, 0), (0, 1), (1, 2), (1, 0), (2, 1)]
+            .into_iter()
+            .collect();
+        let functions = [
+            SimilarityFunction::SchemaAgnosticVector {
+                scheme: NGramScheme::Token(1),
+                measure: VectorMeasure::CosineTf,
+            },
+            SimilarityFunction::SchemaAgnosticVector {
+                scheme: NGramScheme::Char(2),
+                measure: VectorMeasure::Jaccard,
+            },
+            SimilarityFunction::SchemaAgnosticGraph {
+                scheme: NGramScheme::Char(2),
+                measure: GraphSimilarity::Value,
+            },
+        ];
+        let cfg = PipelineConfig::default();
+        let pairs = |g: &SimilarityGraph| -> Vec<(u32, u32)> {
+            let mut v: Vec<_> = g.edges().iter().map(|e| (e.left, e.right)).collect();
+            v.sort_unstable();
+            v
+        };
+        for f in &functions {
+            let full = build_graph_over(&left, &right, f, &cfg);
+            let via_restrict = crate::blocking::restrict_graph(&full, &candidates);
+            let direct = build_graph_restricted(&left, &right, f, &candidates, &cfg);
+            assert_eq!(pairs(&direct), pairs(&via_restrict), "{f:?}");
+            assert_eq!(direct.weight_of(1, 2), None, "{f:?}: term-less pair");
+        }
     }
 
     #[test]
